@@ -73,10 +73,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     }),
     "repro/engine/schedule.py": frozenset({
         "DeliverySchedule.add",
-        "DeliverySchedule.discard",
         "DeliverySchedule.pop_due",
-        "DeliverySchedule.rearm",
-        "DeliverySchedule.retire",
     }),
     "repro/engine/wheel.py": frozenset({
         "EventWheel.schedule",

@@ -71,7 +71,7 @@ RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
         # the routers/links/nodes it wired at construction.
         "NetworkFabric": frozenset({
             "config", "stats", "topology", "routers", "nodes", "links",
-            "downstream_buffers",
+            "downstream_buffers", "sinks",
         }),
     },
     "repro/network/arbiters.py": {

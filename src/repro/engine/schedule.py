@@ -1,4 +1,4 @@
-"""Arrival-time delivery schedule for fault-free links.
+"""Arrival calendar for fault-free links.
 
 The deliver phase's job is "hand over every flit whose link arrival time
 has passed".  The :class:`~repro.engine.active.ActiveSet` formulation scans
@@ -6,189 +6,81 @@ every link with *any* flit in flight, every cycle — but at load most active
 links' next arrival is one or two cycles in the future (multi-cycle service
 times at reduced bit rates plus propagation), so most of the scan is wasted.
 
-A link's arrival times are fully known the moment a flit is pushed, and
-they are monotonic per link.  :class:`DeliverySchedule` exploits that: it
-keeps a calendar of per-cycle wake-up buckets, where a link is filed under
-``due_cycle = ceil(arrival)`` — exactly the first integer cycle at which
-the old scan's ``arrival <= now`` test would fire.  The deliver phase pops
-the current cycle's bucket instead of scanning; a link with remaining
-flits is re-armed for its next arrival.  A plain dict-of-lists beats a
-heap here because the simulator visits every integer cycle in order, and
-arrivals are always armed for *future* cycles (service time is >= the
-bit-period, so ``ceil(arrival) > now`` at push time): each bucket is
-built, popped once, and never revisited.  Buckets are sorted by link id
-before delivery, so same-cycle deliveries come out in ascending link
-order — the same order the sorted active-set scan (and the legacy
-step-everything loop) produces, keeping runs bit-identical
-(property-tested).
+A flit's arrival time is fully known the moment it is pushed:
+``free_at + propagation_cycles``, the same float a link's in-flight
+deque stores.  :class:`DeliverySchedule` is therefore a calendar of flit
+arrivals: whoever serialises a flit (``Router._forward``, ``Node.step``,
+``Link.push``) files ``(link_id, flit)`` straight into the bucket of
+cycle ``ceil(arrival)`` — exactly the first integer cycle at which the
+scan's ``arrival <= now`` test fires — and the deliver phase pops that
+one bucket.  Each flit is filed once and delivered once.
 
-Only fault-free runs use the schedule.  Fault injection may *reschedule*
-in-flight arrivals (retransmission backoff), which would invalidate armed
-wake-ups; those runs keep the scan path, where per-cycle re-checks are the
-point.
+A plain dict-of-lists beats a heap here because the simulator visits
+every integer cycle in order, and arrivals always land on *future*
+cycles (service time is positive, so ``ceil(arrival) > now`` at push
+time): each bucket is built, popped once, and never revisited.  A
+popped bucket is stably sorted by link id, so same-cycle deliveries come
+out in ascending link order and FIFO per link — the order the sorted
+active-set scan (and the legacy step-everything loop) produces, keeping
+runs bit-identical (property-tested).
 
-Duck-type compatibility: ``add``/``discard``/``__len__``/``__bool__``/
-``__contains__`` match the ``ActiveSet`` registry protocol that
-:class:`~repro.network.links.Link` and the simulator's drain check speak.
+Only fault-free runs use the calendar.  Fault injection may *reschedule*
+in-flight arrivals (retransmission backoff) and filters every arrival
+through a CRC trial; those runs keep each link's in-flight deque and the
+scanned ``ActiveSet`` path, where per-cycle re-checks are the point.
 """
 
 from __future__ import annotations
 
 from math import ceil
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.network.links import Link
+    from repro.network.flit import Flit
+
+#: Sort key of a bucket entry: its link id (``list.sort`` is stable, so
+#: one link's flits keep their filing order).
+_LINK_ID = itemgetter(0)
 
 
 class DeliverySchedule:
-    """A per-cycle calendar of wake-up buckets over in-flight links."""
+    """A per-cycle calendar of ``(link_id, flit)`` arrivals."""
 
-    __slots__ = ("_buckets", "_members", "_armed", "_cursor")
+    __slots__ = ("_buckets",)
 
     def __init__(self) -> None:
-        #: due_cycle -> [(link_id, link), ...] wake-ups, unsorted until
-        #: popped; each bucket is built, popped once, never revisited.
-        self._buckets: dict[int, list[tuple[int, "Link"]]] = {}
-        #: link_id -> link for every link with flits in flight (the drain
-        #: check's membership view, mirroring the ActiveSet contract).
-        self._members: dict[int, "Link"] = {}
-        #: link_id -> due cycle of the link's single *live* filed entry.
-        #: A bucket entry is authoritative only while this matches its
-        #: bucket's due cycle; anything else is a stale leftover (from a
-        #: drain-elsewhere + re-add, or a re-arm that moved the wake-up)
-        #: and is dropped unconsumed when its bucket pops.  Without this,
-        #: a ``discard`` + re-``add`` at the same due cycle leaves two
-        #: entries that *both* validate, delivering the link twice.
-        self._armed: dict[int, int] = {}
-        #: Next cycle whose bucket has not been popped yet.  The engine
-        #: loop advances one cycle at a time, so :meth:`pop_due` normally
-        #: pops exactly one bucket; the cursor makes a hypothetical cycle
-        #: skip drain older buckets instead of stranding them.
-        self._cursor = 0
+        #: due cycle -> [(link_id, flit), ...] in filing order.  The hot
+        #: filers append here directly (the :meth:`add` body, inlined);
+        #: a bucket exists only while it holds at least one flit.
+        self._buckets: dict[int, list[tuple[int, "Flit"]]] = {}
 
-    # -- registry protocol (Link.push calls add on empty -> nonempty) ----------
-
-    def add(self, link: "Link") -> None:
-        """Arm a wake-up for a link that just went nonempty."""
-        link_id = link.link_id
-        self._members[link_id] = link
-        due = ceil(link._in_flight[0][0])
-        if self._armed.get(link_id) == due:
-            # A live entry for exactly this cycle is already filed (the
-            # link drained through some other path and re-armed before
-            # its bucket popped); filing again would deliver it twice.
-            return
-        self._armed[link_id] = due
+    def add(self, link_id: int, flit: "Flit", arrival: float) -> None:
+        """File ``flit`` for delivery over link ``link_id`` at ``arrival``."""
+        due = ceil(arrival)
         bucket = self._buckets.get(due)
         if bucket is None:
-            self._buckets[due] = [(link_id, link)]
+            self._buckets[due] = [(link_id, flit)]
         else:
-            bucket.append((link_id, link))
-
-    def discard(self, link: "Link") -> None:
-        """Deregister a drained link (stale bucket entries prune lazily).
-
-        The armed due-cycle is deliberately *kept*: the physical bucket
-        entry is still filed, and forgetting it would let a re-``add``
-        at the same cycle file a duplicate that also validates.
-        """
-        self._members.pop(link.link_id, None)
-
-    def __contains__(self, link: "Link") -> bool:
-        return link.link_id in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
+            bucket.append((link_id, flit))
 
     def __bool__(self) -> bool:
-        return bool(self._members)
+        """Whether any flit is filed and not yet delivered."""
+        return bool(self._buckets)
 
-    # -- deliver-phase driver --------------------------------------------------
+    def pop_due(self, now: int) -> list[tuple[int, "Flit"]]:
+        """Remove and return the arrivals due at cycle ``now``.
 
-    def pop_due(self, now: int) -> list["Link"]:
-        """Links with at least one arrival due at ``now``, id-ascending.
-
-        Re-arms nothing: the caller delivers each link's due arrivals and
-        must call :meth:`rearm` (flits remain) or :meth:`retire` (drained)
-        afterwards.  Entries whose link has no arrival actually due —
-        possible only if an armed link drained through some path other
-        than the deliver phase — are re-armed or dropped here.
+        Entries come out ascending by link id, FIFO per link.  The engine
+        pops every cycle in order, so a bucket is never left behind.
         """
-        cycle = int(now)
-        cursor = self._cursor
-        if cycle < cursor:
-            return _NO_LINKS
-        self._cursor = cycle + 1
-        buckets = self._buckets
-        if not buckets:
-            return _NO_LINKS
-        armed = self._armed
-        armed_get = armed.get
-        if cycle == cursor:  # the common case: exactly one bucket to pop
-            raw = buckets.pop(cycle, None)
-            if raw is None:
-                return _NO_LINKS
-            bucket = []
-            filed = bucket.append
-            for entry in raw:
-                if armed_get(entry[0]) == cycle:
-                    filed(entry)
-        else:
-            # Catch-up after a cycle skip: liveness is per-due, so filter
-            # each bucket against its own due cycle before merging.
-            bucket = []
-            filed = bucket.append
-            for due in range(cursor, cycle + 1):
-                entries = buckets.pop(due, None)
-                if entries is None:
-                    continue
-                for entry in entries:
-                    if armed_get(entry[0]) == due:
-                        filed(entry)
-        if not bucket:
-            return _NO_LINKS
-        bucket.sort()
-        due_links: list["Link"] = []
-        members = self._members
-        prev_id = -1
-        for link_id, link in bucket:
-            if link_id == prev_id:
-                # Duplicate live entries at one due can only be identical
-                # tuples (one armed cycle per link); consume just the
-                # first.
-                continue
-            prev_id = link_id
-            del armed[link_id]
-            if link_id not in members:
-                continue
-            in_flight = link._in_flight
-            if not in_flight:
-                del members[link_id]
-                continue
-            if in_flight[0][0] > now:
-                self.rearm(link)
-                continue
-            due_links.append(link)
-        return due_links
-
-    def rearm(self, link: "Link") -> None:
-        """Schedule a link's next wake-up after a partial drain."""
-        link_id = link.link_id
-        due = ceil(link._in_flight[0][0])
-        if self._armed.get(link_id) == due:
-            return
-        self._armed[link_id] = due
-        bucket = self._buckets.get(due)
+        bucket = self._buckets.pop(now, None)
         if bucket is None:
-            self._buckets[due] = [(link_id, link)]
-        else:
-            bucket.append((link_id, link))
-
-    def retire(self, link: "Link") -> None:
-        """Deregister a link the deliver phase fully drained."""
-        del self._members[link.link_id]
+            return _NOTHING_DUE
+        if len(bucket) > 1:
+            bucket.sort(key=_LINK_ID)
+        return bucket
 
 
-#: Shared empty result for cycles with nothing due (the common case).
-_NO_LINKS: list["Link"] = []
+#: Shared empty result for cycles with nothing due.
+_NOTHING_DUE: list[tuple[int, "Flit"]] = []

@@ -21,9 +21,13 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, LinkStateError
 from repro.network.flit import Flit
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.engine.schedule import DeliverySchedule
 
 #: Link roles within the clustered system (used for reporting and for the
 #: power manager to pick Bu sources).
@@ -60,6 +64,7 @@ class Link:
         "pressure_accum",
         "flits_carried",
         "registry",
+        "calendar",
         "failed",
         "faults",
     )
@@ -99,6 +104,11 @@ class Link:
         #: flight register themselves so the delivery loop only visits
         #: active links instead of all ~1.2k links every cycle.
         self.registry: set["Link"] | None = None
+        #: Optional arrival calendar shared by every link of a fault-free
+        #: run: while set, pushed flits are filed there (by arrival
+        #: cycle) instead of queueing on :attr:`_in_flight`, and the
+        #: simulator's deliver phase pops them from it.
+        self.calendar: "DeliverySchedule | None" = None
         #: Hard-failure flag set by the reliability manager.  Routing
         #: refuses to send *new* packets over a failed link; flits already
         #: committed (wormhole worms in progress) drain normally — the
@@ -113,8 +123,9 @@ class Link:
         """Restore construction-time transport state for a warm rerun.
 
         ``deliver`` (the wiring) is structural and survives; ``registry``
-        is reassigned by the simulator's run-state init, so clearing it
-        here just drops the previous run's engine object.
+        and ``calendar`` are reassigned by the simulator's run-state
+        init, so clearing them here just drops the previous run's engine
+        objects.
         """
         self.service_time = 1.0
         self.free_at = 0.0
@@ -124,11 +135,13 @@ class Link:
         self.pressure_accum = 0.0
         self.flits_carried = 0
         self.registry = None
+        self.calendar = None
         self.failed = False
         self.faults = None
 
     @property
     def has_in_flight(self) -> bool:
+        """Whether the deque holds flits (a calendar link keeps it empty)."""
         return bool(self._in_flight)
 
     def can_accept(self, now: float) -> bool:
@@ -161,11 +174,13 @@ class Link:
         self.free_at = now + service_time
         self.busy_accum += service_time
         self.flits_carried += 1
+        arrival = self.free_at + self.propagation_cycles
+        if self.calendar is not None:
+            self.calendar.add(self.link_id, flit, arrival)
+            return
         in_flight = self._in_flight
         was_empty = not in_flight
-        in_flight.append((self.free_at + self.propagation_cycles, flit))
-        # Register after appending: a DeliverySchedule registry reads the
-        # new arrival time to arm the link's delivery wake-up.
+        in_flight.append((arrival, flit))
         if was_empty and self.registry is not None:
             self.registry.add(self)
 

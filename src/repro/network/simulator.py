@@ -15,14 +15,19 @@ fixed phase order chosen so every component sees a consistent picture:
    cycle: link transition completions, window-boundary policy evaluation,
    laser epochs, power sampling and the stall watchdog.
 
-The engine makes each phase cost O(active components), not O(network):
-links, routers and nodes register into :class:`~repro.engine.active.ActiveSet`
-registries while they hold work and are skipped otherwise, and the power
-manager's periodic work is event-scheduled on an
+The engine makes each phase cost O(active components), not O(network).
+In fault-free runs every pushed flit is filed by arrival cycle in a
+:class:`~repro.engine.schedule.DeliverySchedule`, and the deliver phase
+pops only this cycle's arrivals and applies each receive inline, into
+the VC buffer the fabric recorded as the link's sink.  Fault runs keep
+per-link in-flight queues and scan the links registered in an
+:class:`~repro.engine.active.ActiveSet`.  Routers and nodes register into
+``ActiveSet`` registries while they hold work and are skipped otherwise,
+and the power manager's periodic work is event-scheduled on an
 :class:`~repro.engine.wheel.EventWheel` instead of being polled with
 modulo checks every cycle.  Construct with ``step_all=True`` to force the
 legacy step-everything/poll-everything behaviour — runs are bit-identical
-in either mode (property-tested), only the wall-clock differs.
+in every mode (property-tested), only the wall-clock differs.
 
 Observers (profilers, watchdogs, metrics samplers) attach through
 :attr:`Simulator.hooks`, a typed :class:`~repro.engine.hooks.HookRegistry`
@@ -30,13 +35,13 @@ Observers (profilers, watchdogs, metrics samplers) attach through
 
 Determinism: given identical configs and seeds, runs are bit-identical —
 there is no wall-clock or unordered-set iteration in any decision path
-(active sets are iterated via sorted snapshots, and same-cycle events fire
-in a fixed priority order).
+(active sets are iterated via sorted snapshots, calendar buckets are
+sorted by link id, and same-cycle events fire in a fixed priority
+order).
 """
 
 from __future__ import annotations
 
-from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.config import SimulationConfig
@@ -266,15 +271,18 @@ class Simulator:
         self.wheel = EventWheel()
         if config.faults is None:
             # Fault-free links never reschedule an in-flight arrival, so
-            # delivery can be event-armed instead of scanned (bit-identical;
-            # see engine/schedule.py).
-            self._active_links = DeliverySchedule()
+            # every flit is filed by arrival cycle as it is pushed instead
+            # of being scanned for (bit-identical; see engine/schedule.py).
+            calendar = DeliverySchedule()
+            self._active_links = calendar
+            for link in self.network.links:
+                link.calendar = calendar
         else:
             self._active_links = ActiveSet(_link_key)
+            for link in self.network.links:
+                link.registry = self._active_links
         self._active_routers = ActiveSet(_router_key)
         self._active_nodes = ActiveSet(_node_key)
-        for link in self.network.links:
-            link.registry = self._active_links
         for router in self.network.routers:
             router.registry = self._active_routers
         for node in self.network.nodes:
@@ -326,65 +334,64 @@ class Simulator:
     def _phase_deliver(self, now: int) -> None:
         """Move link arrivals into downstream buffers / node sinks.
 
-        Active mode iterates a sorted snapshot of the active-link set (it
+        Fault-free runs pop this cycle's bucket of the arrival calendar.
+        Fault runs iterate a sorted snapshot of the active-link set (it
         is mutated during iteration: links drain, and pushes in phase 2/3
-        re-register for *later* cycles); snapshotting also keeps delivery
-        order identical to the step-everything iteration over all links.
+        re-register for *later* cycles), and ``step_all`` runs scan every
+        link.  All three deliver in ascending link-id order, FIFO per
+        link, so the runs are identical.
         """
         active = self._active_links
         if type(active) is DeliverySchedule:
-            # Event-armed delivery: only links with an arrival actually due
-            # are visited, in ascending link-id order (same order as the
-            # scans below).
             due = active.pop_due(now)
             if not due:
                 return
             delivery_hooks = self.hooks.delivery
-            if not delivery_hooks:
-                # Hot loop: the schedule's rearm/retire bodies are inlined
-                # against its bucket/member dicts (one wake-up per link per
-                # arrival made the method calls a measurable share), and
-                # the per-link scalars — link_id (read up to three times),
-                # the deque's popleft, armed.get — are bound once.
-                buckets = active._buckets
-                members = active._members
-                armed = active._armed
-                armed_get = armed.get
-                for link in due:
-                    in_flight = link._in_flight
-                    deliver = link.deliver
-                    popleft = in_flight.popleft
-                    link_id = link.link_id
-                    while in_flight and in_flight[0][0] <= now:
-                        deliver(popleft()[1], now)
-                    if in_flight:
-                        due_cycle = ceil(in_flight[0][0])
-                        if armed_get(link_id) == due_cycle:
-                            continue
-                        armed[link_id] = due_cycle
-                        bucket = buckets.get(due_cycle)
-                        if bucket is None:
-                            buckets[due_cycle] = [(link_id, link)]
-                        else:
-                            bucket.append((link_id, link))
-                    else:
-                        del members[link_id]
-                return
-            for link in due:
-                in_flight = link._in_flight
-                deliver = link.deliver
-                arrivals = []
-                while in_flight and in_flight[0][0] <= now:
-                    arrivals.append(in_flight.popleft()[1])
-                for flit in arrivals:
-                    deliver(flit, now)
-                for flit in arrivals:
+            if delivery_hooks or self.batch is not None:
+                # Through each link's wired callback: the numpy backend's
+                # mirrors are kept by Router.receive_flit, and hooks see
+                # each flit right after it is delivered.
+                links = self.network.links
+                for link_id, flit in due:
+                    link = links[link_id]
+                    link.deliver(flit, now)
                     for callback in delivery_hooks:
                         callback(link, flit, now)
-                if in_flight:
-                    active.rearm(link)
-                else:
-                    active.retire(link)
+                return
+            # Hot loop: Router.receive_flit / Node.receive_flit inlined
+            # against the sinks the fabric recorded at wiring time; the
+            # violation paths delegate to the canonical methods.
+            sinks = self.network.sinks
+            num_vcs = self.config.network.num_vcs
+            packet_delivered = self.stats.packet_delivered
+            activate = self._active_routers.add
+            for link_id, flit in due:
+                sink = sinks[link_id]
+                if type(sink) is not tuple:
+                    # Ejection: Node.receive_flit inlined (the node's
+                    # stats collector is this simulator's).
+                    if flit.is_tail:
+                        packet_delivered(flit.packet, now)
+                    continue
+                router, port = sink
+                vc = flit.vc
+                if not 0 <= vc < num_vcs:
+                    router.receive_flit(port, flit, now)  # raises
+                ip = router.inputs[port]
+                buf = ip.vcs[vc].buffer
+                fifo = buf._fifo
+                held = len(fifo)
+                if held >= buf.capacity:
+                    buf.push(flit, now)  # raises
+                buf._occ_integral += held * (now - buf._last_event)
+                buf._last_event = now
+                fifo.append(flit)
+                ip.nonempty |= 1 << vc
+                ip.occupancy += 1
+                mask = router._active_mask
+                if not mask:
+                    activate(router)
+                router._active_mask = mask | 1 << port
             return
         if active is not None:
             if not active:

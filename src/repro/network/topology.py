@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from math import ceil
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
@@ -101,14 +102,24 @@ class Node:
         queue.popleft()
         # link.push inlined (the gate above already verified acceptance).
         service_time = link.service_time
-        link.free_at = now + service_time
+        free_at = link.free_at = now + service_time
         link.busy_accum += service_time
         link.flits_carried += 1
-        in_flight = link._in_flight
-        was_empty = not in_flight
-        in_flight.append((link.free_at + link.propagation_cycles, flit))
-        if was_empty and link.registry is not None:
-            link.registry.add(link)
+        calendar = link.calendar
+        if calendar is not None:
+            # calendar.add inlined.
+            due = ceil(free_at + link.propagation_cycles)
+            bucket = calendar._buckets.get(due)
+            if bucket is None:
+                calendar._buckets[due] = [(link.link_id, flit)]
+            else:
+                bucket.append((link.link_id, flit))
+        else:
+            in_flight = link._in_flight
+            was_empty = not in_flight
+            in_flight.append((free_at + link.propagation_cycles, flit))
+            if was_empty and link.registry is not None:
+                link.registry.add(link)
         if not queue and self.registry is not None:
             self.registry.discard(self)
 
@@ -163,6 +174,11 @@ class NetworkFabric:
         #: Downstream input-port VC buffers per link id (None for ejection
         #: links) — the power manager reads these for the Bu statistic.
         self.downstream_buffers: list[tuple[InputBuffer, ...] | None] = []
+        #: What each link feeds, per link id: ``(router, input port)`` or
+        #: the ejection link's node.  Recorded once at wiring time so the
+        #: simulator's calendar deliver loop can apply receives inline
+        #: without going through ``Link.deliver``.
+        self.sinks: list[tuple[Router, int] | Node] = []
 
         self._wire_local_links()
         self._wire_mesh_links()
@@ -179,7 +195,18 @@ class NetworkFabric:
         )
         self.links.append(link)
         self.downstream_buffers.append(None)
+        self.sinks.append(None)
         return link
+
+    def _feed_router(self, link: Link, router: Router, port: int) -> None:
+        """Wire ``link`` to deliver into ``router``'s input ``port``.
+
+        The callback is a C-level ``partial`` rather than a Python
+        closure: it runs once per flit on the scanned deliver paths, and
+        a closure's extra interpreter frame would be pure overhead.
+        """
+        link.deliver = partial(router.receive_flit, port)
+        self.sinks[link.link_id] = (router, port)
 
     def _new_arbiter(self, router: Router):
         size = router.num_ports * self.config.num_vcs
@@ -200,7 +227,7 @@ class NetworkFabric:
 
                 inject = self._new_link(INJECTION)
                 in_port = router.inputs[local]
-                inject.deliver = _make_router_sink(router, local)
+                self._feed_router(inject, router, local)
                 credits = self._vc_credits()
                 in_port.upstream_credits = credits
                 node.link = inject
@@ -209,6 +236,7 @@ class NetworkFabric:
 
                 eject = self._new_link(EJECTION)
                 eject.deliver = node.receive_flit
+                self.sinks[eject.link_id] = node
                 router.attach_output(
                     local,
                     OutputPort(
@@ -235,7 +263,7 @@ class NetworkFabric:
                 link = self._new_link(MESH)
                 in_port_idx = locals_ + OPPOSITE[direction]
                 in_port = neighbour.inputs[in_port_idx]
-                link.deliver = _make_router_sink(neighbour, in_port_idx)
+                self._feed_router(link, neighbour, in_port_idx)
                 credits = self._vc_credits()
                 in_port.upstream_credits = credits
                 router.attach_output(
@@ -302,16 +330,6 @@ class NetworkFabric:
     def total_pending_flits(self) -> int:
         """Flits still queued at sources (drain check for trace runs)."""
         return sum(node.pending_flits for node in self.nodes)
-
-
-def _make_router_sink(router: Router, port: int):
-    """Bind a delivery callback for a link feeding ``router``'s ``port``.
-
-    A C-level ``partial`` rather than a Python closure: the callback runs
-    once per delivered flit, and the extra interpreter frame a closure
-    would add is pure overhead on the deliver phase.
-    """
-    return partial(router.receive_flit, port)
 
 
 #: Backwards-compatible name from when the builder hard-coded the 2-D

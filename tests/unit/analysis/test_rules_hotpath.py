@@ -137,3 +137,26 @@ class TestTopologyCoverage:
             ),
         }, rule_ids=["HP004"])
         assert rule_ids_of(result) == ["HP004"]
+
+
+class TestHotSetRegistry:
+    """Every ``HOT_FUNCTIONS`` entry names a function defined in its file.
+
+    A stale name (a method renamed or deleted by a refactor) would leave
+    HP001-HP004 silently checking nothing for it.
+    """
+
+    def test_every_hot_function_resolves(self):
+        from pathlib import Path
+
+        import repro
+        from repro.analysis.framework import SourceFile
+        from repro.analysis.rules.hotpath import HOT_FUNCTIONS, _hot_bodies
+
+        package_root = Path(repro.__file__).resolve().parent.parent
+        for rel, wanted in HOT_FUNCTIONS.items():
+            path = package_root / rel
+            assert path.is_file(), rel
+            src = SourceFile.parse(path, rel)
+            found = {name for name, _ in _hot_bodies(src)}
+            assert found == wanted, (rel, sorted(wanted - found))

@@ -1,178 +1,77 @@
-"""Unit tests for the calendar-bucket delivery schedule.
+"""Unit tests for the per-flit arrival calendar.
 
-Exercised through stub in-flight queues rather than full simulator runs
-(the property suite covers end-to-end equivalence); here the calendar
-semantics are pinned down cycle by cycle: arming, due-bucket pops in link
-id order, lazy pruning of stale entries, and the cursor's catch-up
-behaviour on a skipped cycle.
+The calendar is exercised directly and through :meth:`Link.push`; the
+simulator-level contract (drain check, reset, the inline receive) lives
+in ``tests/unit/network/test_deliver_calendar.py`` and end-to-end
+equivalence with the scanned path in the property suite.
 """
-
-from collections import deque
 
 from repro.engine.schedule import DeliverySchedule
 from repro.network.links import MESH, Link
 
 
-def make_link(link_id: int, *arrivals: float) -> Link:
-    link = Link(link_id, MESH)
-    link._in_flight = deque((arrival, object()) for arrival in arrivals)
-    return link
-
-
-class TestRegistryProtocol:
-    def test_add_contains_len_bool(self):
+class TestFiling:
+    def test_add_keeps_the_calendar_nonempty_until_delivered(self):
         schedule = DeliverySchedule()
-        assert not schedule and len(schedule) == 0
-        link = make_link(0, 2.0)
-        schedule.add(link)
-        assert link in schedule
-        assert schedule and len(schedule) == 1
-
-    def test_discard_removes_membership(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 2.0)
-        schedule.add(link)
-        schedule.discard(link)
-        assert link not in schedule
         assert not schedule
-        schedule.discard(link)  # idempotent, like set.discard
+        schedule.add(0, "a", 2.0)
+        schedule.add(1, "b", 2.5)
+        schedule.add(0, "c", 5.0)
+        assert schedule.pop_due(2) == [(0, "a")]
+        assert schedule.pop_due(3) == [(1, "b")]
+        assert schedule
+        assert schedule.pop_due(5) == [(0, "c")]
+        assert not schedule
 
-    def test_retire_after_full_drain(self):
+    def test_link_push_files_into_the_calendar(self):
         schedule = DeliverySchedule()
-        link = make_link(3, 1.0)
-        schedule.add(link)
-        assert schedule.pop_due(1) == [link]
-        link._in_flight.clear()
-        schedule.retire(link)
-        assert link not in schedule
+        link = Link(4, MESH, propagation_cycles=1.0, service_time=1.5)
+        link.calendar = schedule
+        link.push("flit", 0.0)  # arrival 0 + 1.5 + 1.0 = 2.5
+        assert not link.has_in_flight  # the deque is bypassed
+        assert link.free_at == 1.5 and link.flits_carried == 1
+        assert schedule.pop_due(2) == []
+        assert schedule.pop_due(3) == [(4, "flit")]
+
+    def test_link_without_calendar_keeps_its_deque(self):
+        link = Link(0, MESH, propagation_cycles=1.0)
+        link.push("flit", 0.0)
+        assert link.pop_arrivals(2.0) == ["flit"]
 
 
 class TestCalendarSemantics:
     def test_link_not_due_until_ceil_of_arrival(self):
         schedule = DeliverySchedule()
-        link = make_link(0, 2.4)  # due at ceil(2.4) = 3
-        schedule.add(link)
+        schedule.add(0, "flit", 2.4)  # due at ceil(2.4) = 3
         assert schedule.pop_due(0) == []
         assert schedule.pop_due(1) == []
         assert schedule.pop_due(2) == []
-        assert schedule.pop_due(3) == [link]
+        assert schedule.pop_due(3) == [(0, "flit")]
+
+    def test_integral_arrival_is_due_that_cycle(self):
+        schedule = DeliverySchedule()
+        schedule.add(0, "flit", 3.0)
+        assert schedule.pop_due(2) == []
+        assert schedule.pop_due(3) == [(0, "flit")]
 
     def test_same_cycle_pops_come_out_in_link_id_order(self):
         schedule = DeliverySchedule()
-        links = [make_link(link_id, 1.0) for link_id in (7, 2, 5, 0)]
-        for link in links:
-            schedule.add(link)
+        for link_id in (7, 2, 5, 0):
+            schedule.add(link_id, f"f{link_id}", 1.0)
         popped = schedule.pop_due(1)
-        assert [link.link_id for link in popped] == [0, 2, 5, 7]
+        assert [link_id for link_id, _ in popped] == [0, 2, 5, 7]
 
-    def test_rearm_schedules_the_next_arrival(self):
+    def test_same_link_flits_stay_fifo(self):
         schedule = DeliverySchedule()
-        link = make_link(0, 1.0, 4.5)
-        schedule.add(link)
-        assert schedule.pop_due(1) == [link]
-        link._in_flight.popleft()  # the deliver phase hands over flit 1
-        schedule.rearm(link)
-        assert schedule.pop_due(2) == []
-        assert schedule.pop_due(3) == []
-        assert schedule.pop_due(4) == []
-        assert schedule.pop_due(5) == [link]
-
-    def test_early_armed_link_is_rearmed_not_delivered(self):
-        # An armed link whose head arrival moved later (e.g. the bucket
-        # was armed for an arrival the deliver phase already consumed via
-        # another path) must be re-armed for the true due cycle.
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        link._in_flight[0] = (3.0, link._in_flight[0][1])
-        assert schedule.pop_due(1) == []
-        assert link in schedule  # still a member, just re-armed
-        assert schedule.pop_due(3) == [link]
-
-    def test_drained_member_is_pruned_lazily(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        link._in_flight.clear()  # drained through some other path
-        assert schedule.pop_due(1) == []
-        assert link not in schedule
-
-    def test_discarded_link_never_comes_out_of_its_bucket(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        schedule.discard(link)
-        assert schedule.pop_due(1) == []
-
-
-class TestCursor:
-    def test_skipped_cycles_drain_older_buckets(self):
-        schedule = DeliverySchedule()
-        early = make_link(1, 1.0)
-        late = make_link(2, 3.0)
-        schedule.add(early)
-        schedule.add(late)
-        # The caller jumps straight to cycle 3: both buckets must come out
-        # (id-ascending), not just cycle 3's.
-        assert schedule.pop_due(3) == [early, late]
+        schedule.add(3, "a", 0.6)
+        schedule.add(1, "b", 0.7)
+        schedule.add(3, "c", 0.8)
+        schedule.add(1, "d", 0.9)
+        assert schedule.pop_due(1) == [(1, "b"), (1, "d"),
+                                       (3, "a"), (3, "c")]
 
     def test_already_popped_cycle_returns_nothing(self):
         schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        assert schedule.pop_due(2) == [link]
-        assert schedule.pop_due(1) == []  # behind the cursor: a no-op
+        schedule.add(0, "flit", 2.0)
+        assert schedule.pop_due(2) == [(0, "flit")]
         assert schedule.pop_due(2) == []
-
-
-class TestDuplicateEntries:
-    """The armed-due-cycle protocol: one live entry per link, ever.
-
-    A ``discard`` + re-``add`` at the same due cycle used to file a
-    second bucket entry; both validated at pop time and the link was
-    delivered twice in one cycle (double-draining its arrivals).
-    """
-
-    def test_discard_then_readd_same_cycle_delivers_once(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 2.0)
-        schedule.add(link)
-        schedule.discard(link)  # drained through some other path ...
-        schedule.add(link)      # ... then went nonempty again, same due
-        popped = schedule.pop_due(2)
-        assert popped == [link]
-        assert popped.count(link) == 1
-
-    def test_repeated_readds_file_one_entry(self):
-        schedule = DeliverySchedule()
-        link = make_link(3, 5.0)
-        for _ in range(10):
-            schedule.add(link)
-            schedule.discard(link)
-        schedule.add(link)
-        assert len(schedule._buckets[5]) == 1
-        assert schedule.pop_due(5) == [link]
-
-    def test_rearm_after_stale_add_is_single_delivery(self):
-        # Arm for cycle 2, then the arrival moves later and a rearm files
-        # for cycle 4: only the cycle-4 entry is live.
-        schedule = DeliverySchedule()
-        link = make_link(1, 2.0)
-        schedule.add(link)
-        link._in_flight[0] = (4.0, link._in_flight[0][1])
-        schedule.rearm(link)
-        assert schedule.pop_due(2) == []
-        assert link in schedule  # stale entry dropped, membership intact
-        assert schedule.pop_due(3) == []
-        assert schedule.pop_due(4) == [link]
-
-    def test_catchup_pop_never_duplicates_across_buckets(self):
-        # Entries for the same link at two different dues (one stale, one
-        # live) merged by a cycle-skip catch-up must deliver once.
-        schedule = DeliverySchedule()
-        link = make_link(2, 1.0)
-        schedule.add(link)
-        link._in_flight[0] = (3.0, link._in_flight[0][1])
-        schedule.rearm(link)  # live entry moves to due 3; due 1 is stale
-        popped = schedule.pop_due(4)  # skip straight past both buckets
-        assert popped == [link]
