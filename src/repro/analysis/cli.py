@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro check",
         description=("project-specific static analysis: determinism, "
                      "unit-consistency, hook-contract, hot-path and "
-                     "stateful-invariant (mirror/reset/cache-key/"
+                     "stateful-invariant (reset/cache-key/"
                      "serialization) rules (see docs/static-analysis.md)"),
     )
     parser.add_argument(

@@ -416,10 +416,6 @@ class ClassModel:
         """Attrs (re)bound by plain/annotated/``__setattr__`` stores."""
         return {w.attr for w in self.writes.get(method, ()) if w.binds}
 
-    def touched_attrs(self, method: str) -> set[str]:
-        """Attrs written by any store kind (including subscripts)."""
-        return {w.attr for w in self.writes.get(method, ())}
-
     def first_write(self, method: str, attr: str) -> AttrWrite | None:
         for write in self.writes.get(method, ()):
             if write.attr == attr:

@@ -1,6 +1,6 @@
 """The rule catalogue for ``repro check``.
 
-Nine families, twenty-nine rules (see ``docs/static-analysis.md``):
+Eight families, twenty-six rules (see ``docs/static-analysis.md``):
 
 =========  ==================================================
 family     invariant
@@ -9,7 +9,6 @@ family     invariant
 ``UN0xx``  unit consistency across the photonics layer
 ``HC0xx``  hook contract between engine and subscribers
 ``HP0xx``  purity of the inlined hot loop
-``MC0xx``  batch-backend mirrors track every scalar mutation
 ``RC0xx``  reset() restores everything __init__ creates
 ``CK0xx``  memo/hash keys cover every behavioral input
 ``SP0xx``  pool-boundary picklability and canonical hashing
@@ -48,11 +47,6 @@ from repro.analysis.rules.hotpath import (
     LocalImportRule,
     LoggingInHotPathRule,
 )
-from repro.analysis.rules.mirrors import (
-    MirrorCoherenceRule,
-    MirrorRebuildRule,
-    MirrorSpecStalenessRule,
-)
 from repro.analysis.rules.resets import (
     ResetCompletenessRule,
     ResetDriftRule,
@@ -88,9 +82,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     LoggingInHotPathRule,
     ClosureInHotPathRule,
     ComprehensionInHotPathRule,
-    MirrorCoherenceRule,
-    MirrorRebuildRule,
-    MirrorSpecStalenessRule,
     ResetCompletenessRule,
     ResetDriftRule,
     ResetExemptionStalenessRule,

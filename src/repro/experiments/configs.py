@@ -192,9 +192,9 @@ def baseline_link_power(scale: ExperimentScale,
     """
     from repro.core.manager import power_model_from_config
     from repro.network.stats import StatsCollector
-    from repro.network.topology import ClusteredMesh
+    from repro.network.topology import NetworkFabric
 
-    topology = ClusteredMesh(scale.network, StatsCollector())
+    topology = NetworkFabric(scale.network, StatsCollector())
     return len(topology.links) * power_model_from_config(power).max_power
 
 

@@ -27,10 +27,9 @@ from repro.network.routing import (
 )
 from repro.network.simulator import Simulator
 from repro.network.stats import StatsCollector
-from repro.network.topology import ClusteredMesh, Node
+from repro.network.topology import NetworkFabric, Node
 
 __all__ = [
-    "ClusteredMesh",
     "CreditCounter",
     "DIRECTION_NAMES",
     "EAST",
@@ -43,6 +42,7 @@ __all__ = [
     "MESH",
     "MatrixArbiter",
     "NORTH",
+    "NetworkFabric",
     "Node",
     "OPPOSITE",
     "OutputPort",

@@ -182,7 +182,7 @@ class Simulator:
         The structural parts of ``config`` (the network tree and the
         power ladder/bands geometry) must match the simulator's current
         ones — everything else (seed, policy scalars, transitions,
-        warmup/sampling, faults, telemetry, backend) may change freely.
+        warmup/sampling, faults, telemetry) may change freely.
         The contract is bit-identity with fresh construction
         (hypothesis-tested over every topology, with and without
         faults); the payoff is skipping fabric/route-table/operating-
@@ -225,8 +225,8 @@ class Simulator:
         """Per-run engine wiring, shared by ``__init__`` and ``reset``.
 
         Everything here is cheap and rebuilt from scratch each run — a
-        fresh hook registry, event wheel, active-set registries, batch
-        gate, reliability manager and watchdog — so a reset simulator is
+        fresh hook registry, event wheel, active-set registries,
+        reliability manager and watchdog — so a reset simulator is
         indistinguishable from a fresh one by construction.
         """
         self.cycle = 0
@@ -266,7 +266,6 @@ class Simulator:
                 None
             self._active_routers: ActiveSet["Router"] | None = None
             self._active_nodes: ActiveSet[Node] | None = None
-            self.batch = None
             return
         self.wheel = EventWheel()
         if config.faults is None:
@@ -287,15 +286,6 @@ class Simulator:
             router.registry = self._active_routers
         for node in self.network.nodes:
             node.registry = self._active_nodes
-        self.batch = None
-        if config.backend == "numpy" and config.faults is None:
-            # Fault runs keep the scalar route phase wholesale: reroutes
-            # and retransmissions mutate latched state mid-phase in ways
-            # the vector gate's begin-of-phase snapshot cannot see.
-            from repro.network.batch import BatchRouteBackend
-
-            self.batch = BatchRouteBackend(self.network,
-                                           self._active_routers)
         if self.power is not None:
             self.power.schedule_events(
                 self.wheel, sample_interval=config.sample_interval
@@ -347,10 +337,9 @@ class Simulator:
             if not due:
                 return
             delivery_hooks = self.hooks.delivery
-            if delivery_hooks or self.batch is not None:
-                # Through each link's wired callback: the numpy backend's
-                # mirrors are kept by Router.receive_flit, and hooks see
-                # each flit right after it is delivered.
+            if delivery_hooks:
+                # Through each link's wired callback, so hooks see each
+                # flit right after it is delivered.
                 links = self.network.links
                 for link_id, flit in due:
                     link = links[link_id]
@@ -445,10 +434,6 @@ class Simulator:
 
     def _phase_route(self, now: int) -> None:
         """Switch allocation + traversal for every router with work."""
-        batch = self.batch
-        if batch is not None:
-            batch.step(now)
-            return
         active = self._active_routers
         if active is not None:
             if active:
@@ -537,7 +522,6 @@ class Simulator:
         deliver = self._phase_deliver
         active_routers = self._active_routers
         active_nodes = self._active_nodes
-        batch = self.batch
         wheel = self.wheel
         routers = self.network.routers
         nodes = self.network.nodes
@@ -546,9 +530,7 @@ class Simulator:
         for _ in range(cycles):
             now = self.cycle
             deliver(now)
-            if batch is not None:
-                batch.step(now)
-            elif active_routers is not None:
+            if active_routers is not None:
                 if active_routers:
                     for router in active_routers.snapshot():
                         router.step(now)

@@ -330,8 +330,3 @@ class NetworkFabric:
     def total_pending_flits(self) -> int:
         """Flits still queued at sources (drain check for trace runs)."""
         return sum(node.pending_flits for node in self.nodes)
-
-
-#: Backwards-compatible name from when the builder hard-coded the 2-D
-#: mesh; the fabric is topology-parameterised now.
-ClusteredMesh = NetworkFabric

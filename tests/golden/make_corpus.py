@@ -23,8 +23,8 @@ CHANGES.md::
 
 While recording, every in-tree oracle must agree with the fingerprint
 it writes: the traced rerun and a warm simulator reset onto the case
-after other runs, on every case; the ``step_all`` reference engine and
-the numpy route backend on fault-free cases.
+after other runs, on every case; the ``step_all`` reference engine on
+fault-free cases.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def faults_for(case: Case) -> FaultConfig:
 
 
 def run_case(case: Case, *, traced: bool = False, step_all: bool = False,
-             sim: Simulator | None = None, **overrides: Any) -> Simulator:
+             sim: Simulator | None = None) -> Simulator:
     """Run ``case``; reuse ``sim`` through ``reset`` when one is given."""
     power = PowerAwareConfig(
         policy=PolicyConfig(window_cycles=60, history_windows=1),
@@ -122,7 +122,7 @@ def run_case(case: Case, *, traced: bool = False, step_all: bool = False,
         network=network_for(case.topology), power=power, seed=case.seed,
         warmup_cycles=100, sample_interval=50,
         faults=faults_for(case) if case.faults else None,
-        telemetry=TelemetryConfig() if traced else None, **overrides,
+        telemetry=TelemetryConfig() if traced else None,
     )
     traffic = UniformRandomTraffic(config.network.num_nodes,
                                    LOADS[case.load], seed=case.seed)
@@ -194,7 +194,6 @@ def main() -> int:
         check(case, "warm", sim, pinned)
         if not case.faults:
             check(case, "step_all", run_case(case, step_all=True), pinned)
-            check(case, "numpy", run_case(case, backend="numpy"), pinned)
         corpus[case.name] = {**pinned, "events_digest": events_digest(traced)}
     old = load_corpus() if CORPUS_PATH.exists() else {}
     changed = sorted(name for name in corpus.keys() | old.keys()

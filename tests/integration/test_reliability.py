@@ -19,7 +19,7 @@ from repro.experiments.runner import run_simulation
 from repro.network.links import MESH
 from repro.network.simulator import Simulator
 from repro.network.stats import StatsCollector
-from repro.network.topology import ClusteredMesh
+from repro.network.topology import NetworkFabric
 from repro.reliability import (
     FaultConfig,
     LinkFailure,
@@ -97,7 +97,7 @@ class TestDefaultOff:
 
 class TestLinkFailure:
     def first_mesh_link_id(self, network: NetworkConfig) -> int:
-        topology = ClusteredMesh(network, StatsCollector())
+        topology = NetworkFabric(network, StatsCollector())
         return next(l.link_id for l in topology.links if l.kind == MESH)
 
     def test_mesh_link_kill_mid_run_drains_with_reroutes(self):

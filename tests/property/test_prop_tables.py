@@ -18,7 +18,7 @@ from repro.core.manager import NetworkPowerManager
 from repro.core.tables import OperatingPointTable
 from repro.errors import ConfigError
 from repro.network.stats import StatsCollector
-from repro.network.topology import ClusteredMesh
+from repro.network.topology import NetworkFabric
 from repro.photonics.power_model import LinkPowerModel
 
 MODELS = {
@@ -106,7 +106,7 @@ class TestManagerUsesTheTable:
         from repro.config import NetworkConfig
 
         network = NetworkConfig(**network_kwargs)
-        topology = ClusteredMesh(network, StatsCollector())
+        topology = NetworkFabric(network, StatsCollector())
         manager = NetworkPowerManager(
             topology, PowerAwareConfig(technology=MODULATOR,
                                        optical_levels=3), network)

@@ -17,13 +17,13 @@ from repro.core.manager import (
 )
 from repro.errors import ConfigError
 from repro.network.stats import StatsCollector
-from repro.network.topology import ClusteredMesh
+from repro.network.topology import NetworkFabric
 
 
 def make_manager(technology=VCSEL, optical_levels=1, window=100):
     network = NetworkConfig(mesh_width=2, mesh_height=2, nodes_per_cluster=2,
                             buffer_depth=8, num_vcs=2)
-    topology = ClusteredMesh(network, StatsCollector())
+    topology = NetworkFabric(network, StatsCollector())
     power = PowerAwareConfig(
         technology=technology,
         optical_levels=optical_levels,

@@ -6,10 +6,12 @@ from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.config import PowerAwareConfig
 from repro.errors import ConfigError
 from repro.experiments.fig5 import uniform_factory
 from repro.experiments.journal import SweepJournal, point_key
 from repro.experiments.runner import run_point
+from repro.reliability import FaultConfig
 
 from tests.sweeputil import tiny_point
 
@@ -32,6 +34,16 @@ class TestPointKey:
     def test_every_field_participates(self, change):
         assert point_key(replace(tiny_point(), **change)) != \
             point_key(tiny_point())
+
+    def test_key_is_pinned(self):
+        # Adding, removing, renaming or re-defaulting any field of the
+        # hashed config tree re-keys every journal row: old journals then
+        # re-run their points instead of resuming them.  Change this
+        # digest only deliberately, and record it in CHANGES.md.
+        point = replace(tiny_point(), power=PowerAwareConfig(),
+                        faults=FaultConfig())
+        assert point_key(point) == (
+            "5f9d19359a975226d0fa14cc020a0f6b17c072daa3eab13b82975686b5154d13")
 
     def test_unhashable_factory_names_the_point(self):
         point = replace(tiny_point(label="lambda-point"),

@@ -214,11 +214,11 @@ def make_mesh():
     """A fully wired 2x2 mesh (the route tables need attached outputs)."""
     from repro.config import NetworkConfig
     from repro.network.stats import StatsCollector
-    from repro.network.topology import ClusteredMesh
+    from repro.network.topology import NetworkFabric
 
     network = NetworkConfig(mesh_width=2, mesh_height=2, nodes_per_cluster=2,
                             buffer_depth=8, num_vcs=2)
-    return ClusteredMesh(network, StatsCollector())
+    return NetworkFabric(network, StatsCollector())
 
 
 class TestRouteTable:

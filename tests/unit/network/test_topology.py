@@ -7,12 +7,12 @@ from repro.errors import ConfigError
 from repro.network.links import EJECTION, INJECTION, MESH
 from repro.network.packet import Packet
 from repro.network.stats import StatsCollector
-from repro.network.topology import ClusteredMesh
+from repro.network.topology import NetworkFabric
 
 
 @pytest.fixture
-def mesh(tiny_network) -> ClusteredMesh:
-    return ClusteredMesh(tiny_network, StatsCollector())
+def mesh(tiny_network) -> NetworkFabric:
+    return NetworkFabric(tiny_network, StatsCollector())
 
 
 class TestStructure:
@@ -33,7 +33,7 @@ class TestStructure:
 
     def test_paper_scale_link_count(self):
         config = NetworkConfig()  # 8x8x8
-        full = ClusteredMesh(config, StatsCollector())
+        full = NetworkFabric(config, StatsCollector())
         assert len(full.links_of_kind(INJECTION)) == 512
         assert len(full.links_of_kind(EJECTION)) == 512
         # 8x8 mesh: 2*2*8*7 = 224 unidirectional inter-router links.

@@ -4,15 +4,15 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.network.stats import StatsCollector
-from repro.network.topology import ClusteredMesh
+from repro.network.topology import NetworkFabric
 from repro.network.validation import validate_topology
 
 
-def build(**overrides) -> ClusteredMesh:
+def build(**overrides) -> NetworkFabric:
     defaults = {"mesh_width": 3, "mesh_height": 2, "nodes_per_cluster": 2,
                 "buffer_depth": 8, "num_vcs": 2}
     defaults.update(overrides)
-    return ClusteredMesh(NetworkConfig(**defaults), StatsCollector())
+    return NetworkFabric(NetworkConfig(**defaults), StatsCollector())
 
 
 class TestCleanTopologies:
@@ -26,7 +26,7 @@ class TestCleanTopologies:
     def test_builder_output_validates(self, shape):
         defaults = {"buffer_depth": 8, "num_vcs": 2}
         defaults.update(shape)
-        mesh = ClusteredMesh(NetworkConfig(**defaults), StatsCollector())
+        mesh = NetworkFabric(NetworkConfig(**defaults), StatsCollector())
         assert validate_topology(mesh) == []
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the persistent benchmark trajectory (``repro bench``)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +72,17 @@ class TestCompare:
     def test_unshared_labels_are_ignored(self):
         baseline = fake_snapshot({"light": 100_000.0})
         current = fake_snapshot({"moderate": 1.0})
+        assert perfbench.compare(current, baseline) == []
+
+    def test_labels_only_in_the_baseline_are_skipped(self):
+        # BENCH_9 still holds the numpy_* rider points of the removed numpy
+        # backend; a run without them must gate on the shared labels only.
+        root = Path(__file__).resolve().parents[2]
+        baseline = perfbench.load_snapshot(str(root / "BENCH_9.json"))
+        current = dict(baseline, datapoints=[
+            point for point in baseline["datapoints"]
+            if not point["label"].startswith("numpy_")])
+        assert len(current["datapoints"]) < len(baseline["datapoints"])
         assert perfbench.compare(current, baseline) == []
 
     def test_missing_calibration_rejected(self):
@@ -146,8 +158,7 @@ class TestCli:
 
         snapshot = fake_snapshot({"light": 100_000.0})
 
-        def fast_run(quick=False, pr=None, profile=True, topology="mesh",
-                     backend="python"):
+        def fast_run(quick=False, pr=None, profile=True, topology="mesh"):
             return dict(snapshot, pr=pr, quick=quick)
 
         monkeypatch.setattr(perfbench, "run_benchmarks", fast_run)
@@ -171,8 +182,7 @@ class TestCli:
 
         monkeypatch.setattr(
             perfbench, "run_benchmarks",
-            lambda quick=False, pr=None, profile=True, topology="mesh",
-            backend="python":
+            lambda quick=False, pr=None, profile=True, topology="mesh":
             dict(fake_snapshot({"light": 1.0}), pr=pr))
         monkeypatch.chdir(tmp_path)
         assert cli.main(["bench", "--quick", "--pr", "9"]) == 0
