@@ -1,12 +1,20 @@
 """Golden-fingerprint corpus: the case grid, the fingerprint, regeneration.
 
-Every case is one tiny power-aware run over topology x load x faults x
-``link_off`` x seed.  Its fingerprint is what the run produced:
+Every case is one tiny run over topology x load x seed, in one of three
+power modes:
+
+* ``aware``: the paper's power-aware links, x faults x ``link_off``;
+* ``baseline``: no power management (``power=None``), x faults;
+* ``slow``: bit-rate and voltage transitions (20 and 100 cycles) longer
+  than the 60-cycle policy window, so many links are mid-transition at
+  once; fault-free, on the ladder.
+
+Its fingerprint is what the run produced:
 
 * the :meth:`~repro.network.simulator.Simulator.summary`;
-* the ladder-level histogram;
-* the transition totals (ladder steps up/down, LINK_OFF sleeps/wakes);
-* a SHA-256 digest of the sampled power series;
+* for power-aware runs, the ladder-level histogram, the transition
+  totals (ladder steps up/down, LINK_OFF sleeps/wakes) and a SHA-256
+  digest of the sampled power series;
 * a digest of the traced rerun's telemetry event stream.
 
 Integers are pinned exactly.  Floats, inside the digests too, are pinned
@@ -70,16 +78,26 @@ class Case:
     faults: bool
     link_off: bool
     seed: int
+    power: str = "aware"
 
     @property
     def name(self) -> str:
+        rung = self.power if self.power != "aware" else (
+            "linkoff" if self.link_off else "ladder")
         return (f"{self.topology}-{self.load}-"
-                f"{'faults' if self.faults else 'clean'}-"
-                f"{'linkoff' if self.link_off else 'ladder'}-s{self.seed}")
+                f"{'faults' if self.faults else 'clean'}-{rung}-s{self.seed}")
 
 
-CASES = tuple(Case(*combo) for combo in itertools.product(
-    TOPOLOGIES, LOADS, (False, True), (False, True), SEEDS))
+CASES = (
+    tuple(Case(*combo) for combo in itertools.product(
+        TOPOLOGIES, LOADS, (False, True), (False, True), SEEDS))
+    + tuple(Case(topology, load, faults, False, seed, "baseline")
+            for topology, load, faults, seed in itertools.product(
+                TOPOLOGIES, LOADS, (False, True), SEEDS))
+    + tuple(Case(topology, load, False, False, seed, "slow")
+            for topology, load, seed in itertools.product(
+                TOPOLOGIES, LOADS, SEEDS))
+)
 
 
 def network_for(topology: str) -> NetworkConfig:
@@ -104,22 +122,30 @@ def faults_for(case: Case) -> FaultConfig:
     return replace(noisy, failures=(LinkFailure(link_id, at_cycle=300),))
 
 
-def run_case(case: Case, *, traced: bool = False, step_all: bool = False,
-             sim: Simulator | None = None) -> Simulator:
-    """Run ``case``; reuse ``sim`` through ``reset`` when one is given."""
-    power = PowerAwareConfig(
+def power_for(case: Case) -> PowerAwareConfig | None:
+    if case.power == "baseline":
+        return None
+    slow = case.power == "slow"
+    return PowerAwareConfig(
         policy=PolicyConfig(window_cycles=60, history_windows=1),
         transitions=TransitionConfig(
-            bit_rate_transition_cycles=2, voltage_transition_cycles=10,
+            bit_rate_transition_cycles=20 if slow else 2,
+            voltage_transition_cycles=100 if slow else 10,
             optical_transition_cycles=300, laser_epoch_cycles=400,
             link_off_wake_cycles=50,
         ),
         link_off=case.link_off,
     )
+
+
+def build_case(case: Case, *, traced: bool = False, step_all: bool = False,
+               sim: Simulator | None = None) -> Simulator:
+    """Set ``case`` up to run; reuse ``sim`` through ``reset`` if given."""
     # No stall watchdog: its delivery hook would keep every run off the
     # inline deliver fast path that the untraced run is meant to pin.
     config = SimulationConfig(
-        network=network_for(case.topology), power=power, seed=case.seed,
+        network=network_for(case.topology), power=power_for(case),
+        seed=case.seed,
         warmup_cycles=100, sample_interval=50,
         faults=faults_for(case) if case.faults else None,
         telemetry=TelemetryConfig() if traced else None,
@@ -127,9 +153,14 @@ def run_case(case: Case, *, traced: bool = False, step_all: bool = False,
     traffic = UniformRandomTraffic(config.network.num_nodes,
                                    LOADS[case.load], seed=case.seed)
     if sim is None:
-        sim = Simulator(config, traffic, step_all=step_all)
-    else:
-        sim.reset(config, traffic)
+        return Simulator(config, traffic, step_all=step_all)
+    sim.reset(config, traffic)
+    return sim
+
+
+def run_case(case: Case, **kwargs: Any) -> Simulator:
+    """Build ``case`` (see :func:`build_case`) and run it."""
+    sim = build_case(case, **kwargs)
     sim.run(CYCLES)
     return sim
 
@@ -153,6 +184,8 @@ def digest(value: Any) -> str:
 def fingerprint(sim: Simulator) -> dict[str, Any]:
     """Pin a finished run, all but its telemetry stream."""
     power = sim.power
+    if power is None:
+        return {"summary": canonical(sim.summary())}
     return {
         "summary": canonical(sim.summary()),
         "levels": power.level_histogram(),

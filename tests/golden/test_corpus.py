@@ -8,6 +8,8 @@ import pytest
 
 from tests.golden.make_corpus import (
     CASES,
+    CYCLES,
+    build_case,
     events_digest,
     fingerprint,
     load_corpus,
@@ -31,3 +33,22 @@ def test_run_matches_its_fingerprint(case):
     traced = run_case(case, traced=True)
     assert fingerprint(traced) == pinned
     assert events_digest(traced) == pinned_events
+
+
+@pytest.mark.parametrize("case", [case for case in CASES
+                                  if case.power == "slow"],
+                         ids=lambda case: case.name)
+def test_slow_case_overlaps_transitions(case):
+    # The slow cases exist to pin runs where several links are
+    # mid-transition in the same cycle; check that they still are.
+    sim = build_case(case)
+    peak = 0
+
+    def on_window(start: int, end: int) -> None:
+        nonlocal peak
+        peak = max(peak, sum(pal.engine.in_transition
+                             for pal in sim.power.links))
+
+    sim.hooks.add("window", on_window)
+    sim.run(CYCLES)
+    assert peak >= 2
