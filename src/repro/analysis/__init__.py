@@ -13,7 +13,7 @@ general-purpose linter knows about:
 * **hook contracts** — every event fired by the engine must be a name the
   :class:`~repro.engine.hooks.HookRegistry` defines, with the call
   signature its subscribers expect;
-* **hot-path purity** — the inlined uninstrumented run loop and the
+* **hot-path purity** — the run loop, the step phases and the
   work-list scan paths must stay free of local imports, logging and
   avoidable allocation.
 

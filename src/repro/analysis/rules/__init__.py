@@ -8,7 +8,7 @@ family     invariant
 ``DT0xx``  determinism: identical seeds give identical runs
 ``UN0xx``  unit consistency across the photonics layer
 ``HC0xx``  hook contract between engine and subscribers
-``HP0xx``  purity of the inlined hot loop
+``HP0xx``  purity of the hot loop
 ``RC0xx``  reset() restores everything __init__ creates
 ``CK0xx``  memo/hash keys cover every behavioral input
 ``SP0xx``  pool-boundary picklability and canonical hashing

@@ -1,8 +1,8 @@
 """Determinism rules (DT).
 
-The reproduction's equivalence claims — serial == parallel, engine ==
-step-everything, table == model — require bit-identical runs from
-identical seeds.  These rules keep the classic nondeterminism sources out
+The reproduction's equivalence claims — serial == parallel, calendar ==
+scan, table == model, and the golden corpus across builds — require
+bit-identical runs from identical seeds.  These rules keep the classic nondeterminism sources out
 of the decision paths:
 
 * ``DT001`` — unseeded global RNG calls (``random.random()``,

@@ -1,10 +1,10 @@
 """Hot-path purity rules (HP).
 
-The hot loop (``Simulator.run``'s inlined fast path, the router
-work-list scan, the delivery schedule and event wheel) runs hundreds of
-millions of iterations per benchmark.  The perf pass that built it (see
-``docs/performance.md``) relies on a handful of disciplines that decay
-silently under maintenance; these rules pin them:
+The hot loop (``Simulator.run`` and the phase methods ``step`` calls,
+the router work-list scan, the delivery schedule and event wheel) runs
+hundreds of millions of iterations per benchmark.  The perf pass that
+built it (see ``docs/performance.md``) relies on a handful of
+disciplines that decay silently under maintenance; these rules pin them:
 
 * ``HP001`` — no function-local imports: import-lock and module-dict
   lookups per iteration.
@@ -38,6 +38,8 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "Simulator._phase_deliver",
         "Simulator._phase_route",
         "Simulator._phase_inject",
+        "Simulator._phase_generate",
+        "Simulator._phase_control",
     }),
     "repro/network/router.py": frozenset({
         "Router.step",

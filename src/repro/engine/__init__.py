@@ -6,7 +6,7 @@ layers plug into:
 * :class:`~repro.engine.active.ActiveSet` — registries of components that
   currently hold work, so a cycle costs O(active) instead of O(network);
 * :class:`~repro.engine.wheel.EventWheel` — deterministic scheduled
-  wake-ups replacing per-cycle ``now % period`` polling;
+  wake-ups for the control phase;
 * :class:`~repro.engine.hooks.HookRegistry` — typed observer hooks
   (``phase_start``/``phase_end``, ``window``, ``transition``,
   ``delivery``) for profilers, watchdogs and metrics samplers;

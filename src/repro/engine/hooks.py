@@ -11,8 +11,8 @@ Events
 ------
 ``phase_start`` / ``phase_end``
     ``cb(phase_name, cycle)`` around each simulator phase (``deliver``,
-    ``route``, ``inject``, ``generate``, ``control``).  Registering either
-    switches the step loop to its instrumented form.
+    ``route``, ``inject``, ``generate``, ``control``).  ``step()`` checks
+    for them every cycle, so they take effect from the next cycle.
 ``window``
     ``cb(start_cycle, end_cycle)`` after the power manager has evaluated
     every link's policy at a window boundary.

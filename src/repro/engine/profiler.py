@@ -2,9 +2,12 @@
 
 Answers "where does a run actually spend its time?" — delivery, routing,
 injection, traffic generation or power control — by attaching to the
-engine's ``phase_start``/``phase_end`` hooks.  Attaching switches the step
-loop to its instrumented form (two clock reads per phase), so profile
-dedicated runs rather than leaving a profiler attached in benchmarks.
+engine's ``phase_start``/``phase_end`` hooks.  The simulator's ``step()``
+checks those hooks every cycle, so attaching or detaching takes effect
+from the next cycle, even in the middle of a ``run()`` call, and the
+profiler times the same phase methods an unprofiled run executes.  Each
+timed phase costs two clock reads, so profile dedicated runs rather than
+leaving a profiler attached in benchmarks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class PhaseProfiler:
         return self
 
     def detach(self) -> None:
-        """Stop timing and restore the uninstrumented step loop."""
+        """Stop timing from the next simulated cycle on."""
         if self._registry is None:
             raise ConfigError("profiler is not attached")
         self._registry.remove("phase_start", self._on_phase_start)

@@ -21,8 +21,7 @@ cycles (service time is positive, so ``ceil(arrival) > now`` at push
 time): each bucket is built, popped once, and never revisited.  A
 popped bucket is stably sorted by link id, so same-cycle deliveries come
 out in ascending link order and FIFO per link — the order the sorted
-active-set scan (and the legacy step-everything loop) produces, keeping
-runs bit-identical (property-tested).
+active-set scan produces, keeping runs bit-identical (property-tested).
 
 Only fault-free runs use the calendar.  Fault injection may *reschedule*
 in-flight arrivals (retransmission backoff) and filters every arrival

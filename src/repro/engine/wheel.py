@@ -1,18 +1,17 @@
 """A small integer-cycle event wheel.
 
-The simulator used to poll for control work every cycle — ``now % window``,
-``now % epoch``, ``now % sample_interval`` and a per-cycle sweep over every
-link in transition.  All of those are *scheduled* events: their next firing
-time is known exactly when the previous one completes.  The
-:class:`EventWheel` turns the polling into wake-ups, so an idle cycle costs
-one integer comparison (``wheel.next_cycle <= now``) instead of a handful
-of modulo checks and set scans.
+All of the simulator's control work is *scheduled*: policy windows, laser
+epochs, power samples, transition phase boundaries, watchdog checks and
+fault onsets each know their next firing cycle exactly when the previous
+one completes.  The :class:`EventWheel` holds them as wake-ups, so a cycle
+with nothing due costs one integer comparison
+(``wheel.next_cycle <= now``) instead of modulo checks and set scans.
 
 Ordering is fully deterministic: events firing on the same cycle run in
-``(priority, insertion order)`` — the priorities below reproduce the
-simulator's historical within-cycle phase-5 order (transition completions,
-then window policy, then laser epochs, then power sampling, then the stall
-watchdog), so an event-driven run is bit-identical to a polled one.
+``(priority, insertion order)``.  The priorities below fix the
+within-cycle order of the control phase: transition completions, then
+window policy, then laser epochs, then power sampling, then the stall
+watchdog, then fault onsets.
 
 Callbacks receive the current cycle: ``callback(now)``.  Recurring timers
 reschedule themselves from inside their callback; an event scheduled at or

@@ -24,10 +24,9 @@ per-link in-flight queues and scan the links registered in an
 :class:`~repro.engine.active.ActiveSet`.  Routers and nodes register into
 ``ActiveSet`` registries while they hold work and are skipped otherwise,
 and the power manager's periodic work is event-scheduled on an
-:class:`~repro.engine.wheel.EventWheel` instead of being polled with
-modulo checks every cycle.  Construct with ``step_all=True`` to force the
-legacy step-everything/poll-everything behaviour — runs are bit-identical
-in every mode (property-tested), only the wall-clock differs.
+:class:`~repro.engine.wheel.EventWheel`, so a cycle with no control work
+due costs one integer comparison.  :meth:`Simulator.run` is a plain loop
+over :meth:`Simulator.step`; there is no second copy of the loop body.
 
 Observers (profilers, watchdogs, metrics samplers) attach through
 :attr:`Simulator.hooks`, a typed :class:`~repro.engine.hooks.HookRegistry`
@@ -104,8 +103,7 @@ class StallWatchdog:
     Attaches through the engine: a ``delivery`` hook records the last cycle
     any flit moved off a link, and a recurring event-wheel check raises
     :class:`~repro.errors.SimulationError` when packets are in flight but
-    nothing has moved for ``limit`` cycles.  (With ``step_all=True`` the
-    simulator falls back to the equivalent legacy per-cycle poll.)
+    nothing has moved for ``limit`` cycles.
     """
 
     __slots__ = ("sim", "limit", "_last_progress_cycle")
@@ -142,8 +140,7 @@ class StallWatchdog:
 class Simulator:
     """One simulated power-aware (or baseline) networked system."""
 
-    def __init__(self, config: SimulationConfig, traffic: TrafficSource,
-                 *, step_all: bool = False):
+    def __init__(self, config: SimulationConfig, traffic: TrafficSource):
         if traffic.num_nodes != config.network.num_nodes:
             raise ConfigError(
                 f"traffic source built for {traffic.num_nodes} nodes but the "
@@ -172,7 +169,6 @@ class Simulator:
             self.power = NetworkPowerManager(
                 self.network, config.power, config.network
             )
-        self.step_all = step_all
         self._init_run_state(config)
 
     def reset(self, config: SimulationConfig,
@@ -188,11 +184,6 @@ class Simulator:
         faults); the payoff is skipping fabric/route-table/operating-
         point construction for every point after a worker's first.
         """
-        if self.step_all:
-            raise ConfigError(
-                "reset() needs the event-driven engine; step_all "
-                "simulators are the legacy reference and stay cold"
-            )
         if traffic.num_nodes != config.network.num_nodes:
             raise ConfigError(
                 f"traffic source built for {traffic.num_nodes} nodes but the "
@@ -239,35 +230,18 @@ class Simulator:
         self._phases = tuple(
             (name, getattr(self, f"_phase_{name}")) for name in PHASES
         )
-        self._phase_fns = tuple(fn for _, fn in self._phases)
-        self._last_delivery_count = 0
-        self._last_delivery_cycle = 0
         self.reliability: "ReliabilityManager | None" = None
         self.telemetry: "TraceRecorder | None" = None
-        step_all = self.step_all
         if config.telemetry is not None:
             # Imported here to break the package cycle (the recorder
             # observes simulator hooks).  Attaching is pure observation:
             # runs with and without a recorder are bit-identical
-            # (property-tested), in either engine mode.
+            # (property-tested).
             from repro.telemetry.recorder import TraceRecorder
 
             self.telemetry = TraceRecorder(config.telemetry).attach(self)
-        if step_all:
-            if config.faults is not None:
-                raise ConfigError(
-                    "fault injection needs the event-driven engine for its "
-                    "scheduled scenarios; it cannot run with step_all=True"
-                )
-            # Legacy mode: visit every component every cycle and poll for
-            # control work.  Kept as the reference for equivalence tests.
-            self.wheel = None
-            self._active_links: ActiveSet[Link] | DeliverySchedule | None = \
-                None
-            self._active_routers: ActiveSet["Router"] | None = None
-            self._active_nodes: ActiveSet[Node] | None = None
-            return
         self.wheel = EventWheel()
+        self._active_links: ActiveSet[Link] | DeliverySchedule
         if config.faults is None:
             # Fault-free links never reschedule an in-flight arrival, so
             # every flit is filed by arrival cycle as it is pushed instead
@@ -280,8 +254,8 @@ class Simulator:
             self._active_links = ActiveSet(_link_key)
             for link in self.network.links:
                 link.registry = self._active_links
-        self._active_routers = ActiveSet(_router_key)
-        self._active_nodes = ActiveSet(_node_key)
+        self._active_routers: ActiveSet["Router"] = ActiveSet(_router_key)
+        self._active_nodes: ActiveSet[Node] = ActiveSet(_node_key)
         for router in self.network.routers:
             router.registry = self._active_routers
         for node in self.network.nodes:
@@ -303,7 +277,11 @@ class Simulator:
             StallWatchdog(self, config.stall_limit_cycles).attach()
 
     def step(self) -> None:
-        """Advance the system by one router cycle."""
+        """Advance the system by one router cycle.
+
+        The ``phase_start``/``phase_end`` hooks are checked every cycle,
+        so a hook attached mid-run takes effect from the next cycle.
+        """
         now = self.cycle
         hooks = self.hooks
         if hooks.phase_start or hooks.phase_end:
@@ -315,8 +293,13 @@ class Simulator:
                 for callback in ends:
                     callback(name, now)
         else:
-            for _, phase in self._phases:
-                phase(now)
+            # The PHASES order, called directly: cheaper than walking
+            # ``_phases`` on the cycles no observer times.
+            self._phase_deliver(now)
+            self._phase_route(now)
+            self._phase_inject(now)
+            self._phase_generate(now)
+            self._phase_control(now)
         self.cycle = now + 1
 
     # -- phases ------------------------------------------------------------------
@@ -327,9 +310,8 @@ class Simulator:
         Fault-free runs pop this cycle's bucket of the arrival calendar.
         Fault runs iterate a sorted snapshot of the active-link set (it
         is mutated during iteration: links drain, and pushes in phase 2/3
-        re-register for *later* cycles), and ``step_all`` runs scan every
-        link.  All three deliver in ascending link-id order, FIFO per
-        link, so the runs are identical.
+        re-register for *later* cycles).  Both deliver in ascending
+        link-id order, FIFO per link, so the runs are identical.
         """
         active = self._active_links
         if type(active) is DeliverySchedule:
@@ -382,14 +364,10 @@ class Simulator:
                     activate(router)
                 router._active_mask = mask | 1 << port
             return
-        if active is not None:
-            if not active:
-                return
-            links = active.snapshot()
-        else:
-            links = self.network.links
+        if not active:
+            return
         delivery_hooks = self.hooks.delivery
-        for link in links:
+        for link in active.snapshot():
             if link.faults is None:
                 # Fast path: peek the arrival deque directly.  At load most
                 # active links have their next arrival in the future, and a
@@ -397,8 +375,7 @@ class Simulator:
                 # cycle was a measurable share of the deliver phase.
                 in_flight = link._in_flight
                 if not in_flight:
-                    if active is not None:
-                        active.discard(link)
+                    active.discard(link)
                     continue
                 if in_flight[0][0] > now:
                     continue
@@ -415,7 +392,7 @@ class Simulator:
                 else:
                     while in_flight and in_flight[0][0] <= now:
                         deliver(in_flight.popleft()[1], now)
-                if active is not None and not in_flight:
+                if not in_flight:
                     active.discard(link)
                 continue
             # Fault-injected links delegate to the fault state's arrival
@@ -429,31 +406,22 @@ class Simulator:
                     for flit in arrivals:
                         for callback in delivery_hooks:
                             callback(link, flit, now)
-            if active is not None and not link.has_in_flight:
+            if not link.has_in_flight:
                 active.discard(link)
 
     def _phase_route(self, now: int) -> None:
         """Switch allocation + traversal for every router with work."""
         active = self._active_routers
-        if active is not None:
-            if active:
-                for router in active.snapshot():
-                    router.step(now)
-        else:
-            for router in self.network.routers:
+        if active:
+            for router in active.snapshot():
                 router.step(now)
 
     def _phase_inject(self, now: int) -> None:
         """Source-queue injection for every node with queued flits."""
         active = self._active_nodes
-        if active is not None:
-            if active:
-                for node in active.snapshot():
-                    node.step(now)
-        else:
-            for node in self.network.nodes:
-                if node.queue:
-                    node.step(now)
+        if active:
+            for node in active.snapshot():
+                node.step(now)
 
     def _phase_generate(self, now: int) -> None:
         """Create this cycle's new traffic."""
@@ -464,96 +432,25 @@ class Simulator:
             nodes[packet.src].enqueue_packet(packet)
 
     def _phase_control(self, now: int) -> None:
-        """Run control work due this cycle.
-
-        Active mode services the event wheel (transitions, windows, epochs,
-        samples, watchdog — in that priority order); legacy mode polls with
-        the historical modulo checks.
-        """
+        """Run the event wheel's control work due this cycle, in the
+        wheel's priority order (see :mod:`repro.engine.wheel`)."""
         wheel = self.wheel
-        if wheel is not None:
-            if wheel.next_cycle <= now:
-                wheel.service(now)
-            return
-        power = self.power
-        if power is not None:
-            power.on_cycle(now)
-            if now % self.config.sample_interval == 0:
-                power.sample_power(now)
-        limit = self.config.stall_limit_cycles
-        if limit and now % WATCHDOG_INTERVAL == 0:
-            self._check_stall(now, limit)
-
-    def _check_stall(self, now: int, limit: int) -> None:
-        """Legacy (polled) stall check, used only with ``step_all=True``."""
-        delivered = self.stats.packets_delivered
-        if delivered != self._last_delivery_count:
-            self._last_delivery_count = delivered
-            self._last_delivery_cycle = now
-        elif self.stats.in_flight > 0 and \
-                now - self._last_delivery_cycle >= limit:
-            raise _stall_error(
-                self,
-                f"no packet delivered for {now - self._last_delivery_cycle} "
-                f"cycles with {self.stats.in_flight} in flight — likely a "
-                f"flow-control bug.{_asleep_note(self)}",
-            )
+        if wheel.next_cycle <= now:
+            wheel.service(now)
 
     # -- driving -----------------------------------------------------------------
 
     def run(self, cycles: int) -> None:
-        """Run ``cycles`` more cycles.
+        """Run ``cycles`` more cycles, one :meth:`step` each.
 
-        Whether the run is instrumented (fires ``phase_start``/``phase_end``
-        hooks) is decided once on entry; attach phase hooks before calling.
+        Phase hooks attached or detached during the run, say from a
+        ``window`` callback, take effect from the next cycle.
         """
         if cycles < 0:
             raise ConfigError(f"cycles must be >= 0, got {cycles!r}")
-        hooks = self.hooks
-        if hooks.phase_start or hooks.phase_end:
-            step = self.step
-            for _ in range(cycles):
-                step()
-            return
-        # Uninstrumented fast loop: the route/inject/generate/control phase
-        # bodies are inlined here (loop-invariant bindings hoisted) — keep
-        # them in sync with the ``_phase_*`` methods, which remain the
-        # source of truth for the instrumented :meth:`step` path.
-        deliver = self._phase_deliver
-        active_routers = self._active_routers
-        active_nodes = self._active_nodes
-        wheel = self.wheel
-        routers = self.network.routers
-        nodes = self.network.nodes
-        stats = self.stats
-        generate = self.traffic.generate
+        step = self.step
         for _ in range(cycles):
-            now = self.cycle
-            deliver(now)
-            if active_routers is not None:
-                if active_routers:
-                    for router in active_routers.snapshot():
-                        router.step(now)
-            else:
-                for router in routers:
-                    router.step(now)
-            if active_nodes is not None:
-                if active_nodes:
-                    for node in active_nodes.snapshot():
-                        node.step(now)
-            else:
-                for node in nodes:
-                    if node.queue:
-                        node.step(now)
-            for packet in generate(now):
-                stats.packet_created(packet, now)
-                nodes[packet.src].enqueue_packet(packet)
-            if wheel is not None:
-                if wheel.next_cycle <= now:
-                    wheel.service(now)
-            else:
-                self._phase_control(now)
-            self.cycle = now + 1
+            step()
 
     def run_until_drained(self, max_cycles: int,
                           poll_interval: int = 512) -> bool:
@@ -565,11 +462,8 @@ class Simulator:
         starting cycle*, so resuming from an arbitrary cycle still polls on
         schedule.
 
-        Each poll interval is executed as one :meth:`run` batch, so the
-        cycles between drain checks go through the same uninstrumented fast
-        path ``run`` uses instead of paying the per-call :meth:`step` hook
-        check every cycle (regression-tested bit-identical to the stepped
-        loop).
+        Each poll interval is executed as one :meth:`run` batch
+        (regression-tested bit-identical to a stepped loop).
         """
         if max_cycles < 1:
             raise ConfigError("max_cycles must be >= 1")
@@ -587,16 +481,10 @@ class Simulator:
         return self._is_drained()
 
     def _is_drained(self) -> bool:
-        if self._active_links is not None:
-            links_idle = not self._active_links
-        else:
-            links_idle = not any(
-                link.has_in_flight for link in self.network.links
-            )
         return (
             self.traffic.exhausted(self.cycle)
             and self.stats.in_flight == 0
-            and links_idle
+            and not self._active_links
             and self.network.total_pending_flits == 0
         )
 

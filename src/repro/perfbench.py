@@ -123,9 +123,9 @@ def _phase_profile(rate: float, cycles: int,
                    topology: str = "mesh") -> dict[str, float]:
     """Fraction of simulated CPU time per phase (instrumented run).
 
-    Uses a separate, shorter run: attaching the profiler switches the step
-    loop to its instrumented form, which must never contaminate the timed
-    datapoint runs.
+    Uses a separate, shorter run, so the profiler's clock reads never
+    contaminate the timed datapoint runs.  It times the same phase
+    methods the timed runs execute.
     """
     from repro.engine import PhaseProfiler
 

@@ -31,8 +31,7 @@ CHANGES.md::
 
 While recording, every in-tree oracle must agree with the fingerprint
 it writes: the traced rerun and a warm simulator reset onto the case
-after other runs, on every case; the ``step_all`` reference engine on
-fault-free cases.
+after other runs.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ def power_for(case: Case) -> PowerAwareConfig | None:
     )
 
 
-def build_case(case: Case, *, traced: bool = False, step_all: bool = False,
+def build_case(case: Case, *, traced: bool = False,
                sim: Simulator | None = None) -> Simulator:
     """Set ``case`` up to run; reuse ``sim`` through ``reset`` if given."""
     # No stall watchdog: its delivery hook would keep every run off the
@@ -153,7 +152,7 @@ def build_case(case: Case, *, traced: bool = False, step_all: bool = False,
     traffic = UniformRandomTraffic(config.network.num_nodes,
                                    LOADS[case.load], seed=case.seed)
     if sim is None:
-        return Simulator(config, traffic, step_all=step_all)
+        return Simulator(config, traffic)
     sim.reset(config, traffic)
     return sim
 
@@ -225,8 +224,6 @@ def main() -> int:
             sim = run_case(replace(case, load="heavy", faults=True, seed=99))
         warm[case.topology] = sim = run_case(case, sim=sim)
         check(case, "warm", sim, pinned)
-        if not case.faults:
-            check(case, "step_all", run_case(case, step_all=True), pinned)
         corpus[case.name] = {**pinned, "events_digest": events_digest(traced)}
     old = load_corpus() if CORPUS_PATH.exists() else {}
     changed = sorted(name for name in corpus.keys() | old.keys()

@@ -15,6 +15,7 @@ from repro.core.manager import (
     ladder_from_config,
     power_model_from_config,
 )
+from repro.engine.wheel import EventWheel
 from repro.errors import ConfigError
 from repro.network.stats import StatsCollector
 from repro.network.topology import NetworkFabric
@@ -34,6 +35,19 @@ def make_manager(technology=VCSEL, optical_levels=1, window=100):
         ),
     )
     return NetworkPowerManager(topology, power, network), topology
+
+
+def drive(manager, stop):
+    """Fire the manager's wheel wake-ups due before cycle ``stop``.
+
+    The first call schedules the manager on a fresh wheel, as the
+    simulator does at cycle 0.
+    """
+    if manager._wheel is None:
+        manager.schedule_events(EventWheel())
+    wheel = manager._wheel
+    while wheel.next_cycle < stop:
+        wheel.service(int(wheel.next_cycle))
 
 
 class TestConfigHelpers:
@@ -74,30 +88,26 @@ class TestConstruction:
 class TestDriving:
     def test_idle_network_scales_down_over_windows(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         histogram = manager.level_histogram()
         assert histogram[0] == len(manager.links)
 
     def test_power_decreases_from_baseline(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         manager.finalize(2000)
         assert manager.relative_power(2000) < 1.0
 
     def test_relative_power_one_when_pinned(self):
         # A manager whose window never fires keeps all links at max.
         manager, _ = make_manager(window=10_000)
-        for now in range(1, 100):
-            manager.on_cycle(now)
+        drive(manager, 100)
         manager.finalize(100)
         assert manager.relative_power(100) == pytest.approx(1.0)
 
     def test_minimum_relative_power_matches_model(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 4000):
-            manager.on_cycle(now)
+        drive(manager, 4000)
         manager.finalize(4000)
         floor = manager.power_model.power(5e9) / manager.power_model.max_power
         # Long idle run converges to the 5 Gb/s floor (plus the descent
@@ -115,8 +125,7 @@ class TestDriving:
 
     def test_transition_totals_accumulate(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 1000):
-            manager.on_cycle(now)
+        drive(manager, 1000)
         totals = manager.transition_totals()
         assert totals["down"] > 0
         assert totals["up"] == 0  # idle network never climbs
@@ -130,8 +139,7 @@ class TestDriving:
 class TestFinalizeIdempotence:
     def test_repeated_finalize_accrues_no_energy(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         manager.finalize(2000)
         first = manager.total_energy_watt_cycles()
         manager.finalize(2000)
@@ -141,12 +149,10 @@ class TestFinalizeIdempotence:
 
     def test_later_finalize_extends_the_integral(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 1000):
-            manager.on_cycle(now)
+        drive(manager, 1000)
         manager.finalize(1000)
         first = manager.total_energy_watt_cycles()
-        for now in range(1000, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         manager.finalize(2000)
         assert manager.total_energy_watt_cycles() > first
 
@@ -163,8 +169,7 @@ class TestFinalizeIdempotence:
         # baseline_power is cached at construction and the energy total at
         # finalize; repeated summary-path queries must not touch the links.
         manager, _ = make_manager(window=50)
-        for now in range(1, 1000):
-            manager.on_cycle(now)
+        drive(manager, 1000)
         manager.finalize(1000)
         expected_energy = manager.total_energy_watt_cycles()
         expected_baseline = manager.baseline_power()
@@ -200,8 +205,7 @@ class TestFinalizeIdempotence:
 class TestReporting:
     def test_link_report_rows(self):
         manager, topology = make_manager(window=50)
-        for now in range(1, 500):
-            manager.on_cycle(now)
+        drive(manager, 500)
         manager.finalize(500)
         rows = manager.link_report(500)
         assert len(rows) == len(topology.links)
@@ -213,8 +217,7 @@ class TestReporting:
 
     def test_energy_by_kind_sums_to_total(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 500):
-            manager.on_cycle(now)
+        drive(manager, 500)
         manager.finalize(500)
         by_kind = manager.energy_by_kind(500)
         assert sum(by_kind.values()) == pytest.approx(
@@ -247,8 +250,7 @@ class TestModelReplacement:
         from repro.photonics.electrical import ElectricalLinkModel
 
         manager, _ = make_manager(window=50)
-        for now in range(1, 200):
-            manager.on_cycle(now)
+        drive(manager, 200)
         manager.finalize(200)
         with pytest.raises(ConfigError):
             manager.replace_power_model(
@@ -266,44 +268,40 @@ class TestModelReplacement:
 
 
 class TestTransitionIterationDeterminism:
-    """Regression: on_cycle used to iterate the ``_transitioning`` set
-    directly.  PowerAwareLink hashes by identity, so the visit order varied
-    between processes — a violation of the determinism contract ("no
-    unordered-set iteration in any decision path").  The fix iterates a
-    snapshot sorted by link_id."""
+    """The determinism contract forbids unordered-set iteration in any
+    decision path.  ``_transitioning`` is a set of identity-hashed links,
+    so transitions must be advanced by wheel wake-ups, which fire in
+    scheduling order (link-id order within a window), never by walking
+    the set."""
 
-    def test_on_cycle_advances_transitioning_links_in_id_order(
-            self, monkeypatch):
+    def test_wakeups_run_in_link_id_order(self, monkeypatch):
         from repro.core.power_link import PowerAwareLink
 
         manager, _ = make_manager(window=50)
-        order: list[int] = []
+        advanced: list[tuple[int, int]] = []
         original = PowerAwareLink.advance
 
         def spy(self, now):
-            order.append(self.link.link_id)
+            advanced.append((now, self.link.link_id))
             original(self, now)
 
         monkeypatch.setattr(PowerAwareLink, "advance", spy)
         # An idle first window makes every link request a down-step at the
         # same boundary: all of them enter _transitioning together.
-        for now in range(1, 51):
-            manager.on_cycle(now)
+        drive(manager, 51)
         assert len(manager._transitioning) == len(manager.links)
-        order.clear()
-        manager.on_cycle(51)
-        assert len(order) == len(manager.links)
-        assert order == sorted(order)
+        drive(manager, 70)
+        assert {link_id for _, link_id in advanced} == \
+            {pal.link.link_id for pal in manager.links}
+        assert advanced == sorted(advanced)
 
     def test_completed_transitions_discarded_during_iteration(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 51):
-            manager.on_cycle(now)
+        drive(manager, 51)
         assert manager._transitioning
         # The 12-cycle down transitions (2 relock + 10 ramp) all finish
-        # well before the next window; the snapshot iteration must be able
-        # to discard every one of them mid-loop without skipping any.
-        for now in range(51, 70):
-            manager.on_cycle(now)
+        # well before the next window, and each completion's wake-up
+        # must drop its link from the set.
+        drive(manager, 70)
         assert not manager._transitioning
         assert all(pal.engine.steps_down == 1 for pal in manager.links)
