@@ -13,21 +13,12 @@ per window — cheapness matters).
 
 from repro.config import PolicyConfig
 from repro.core.policy import LinkPolicyController
+from repro.experiments.ablation import variant_policy
 from repro.experiments.configs import power_config, reference_rates
 from repro.experiments.fig5 import uniform_factory
 from repro.experiments.runner import run_simulation
 
 from conftest import run_once
-
-
-def literal_paper_policy(window: int) -> PolicyConfig:
-    return PolicyConfig(
-        window_cycles=window,
-        congestion_inhibits_downscale=False,
-        rescue_threshold=1.0,
-        downscale_headroom_check=False,
-        pressure_aware_utilisation=False,
-    )
 
 
 def test_stabiliser_ablation(benchmark, smoke_scale):
@@ -42,7 +33,8 @@ def test_stabiliser_ablation(benchmark, smoke_scale):
             smoke_scale,
             power_config(
                 smoke_scale,
-                policy=literal_paper_policy(smoke_scale.policy_window_cycles),
+                policy=variant_policy("paper_literal",
+                                      smoke_scale.policy_window_cycles),
             ),
             uniform_factory(rate), label="literal",
         )
@@ -63,7 +55,7 @@ def test_policy_decision_throughput(benchmark):
 
     def decide():
         for lu, bu in samples:
-            controller.observe(lu, bu, down_ratio=1.2)
+            controller.observe(lu, bu)
 
     benchmark(decide)
     assert sum(controller.decisions.values()) > 0

@@ -137,6 +137,10 @@ class NetworkConfig:
         return math.ceil(microseconds * MICRO * self.router_frequency_hz)
 
 
+#: Downstream buffer utilisation at which the congestion rescue fires.
+RESCUE_THRESHOLD = 0.75
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Link policy controller parameters (paper Section 3.3, Table 1)."""
@@ -158,20 +162,14 @@ class PolicyConfig:
     #: ablation benchmark shows the cascade).
     congestion_inhibits_downscale: bool = True
     #: Congestion rescue (our addition, see DESIGN.md): when the downstream
-    #: buffer is nearly full (Bu >= rescue_threshold), step up regardless of
-    #: Lu.  In a congestion tree only the root link measures high
-    #: utilisation — everything behind it idles on empty credit counters —
-    #: so a pure-Lu policy upgrades one tree frontier per window and takes
-    #: tens of thousands of cycles to recover from an overshoot.  Bu is the
-    #: paper's own congestion signal; this rule lets all congested links
-    #: recover in parallel.  Set >= 1.0 to disable.
-    rescue_threshold: float = 0.75
-    #: Headroom check (our addition, see DESIGN.md): before stepping down,
-    #: project the utilisation at the lower rate (Lu * rate_now/rate_lower)
-    #: and hold if it would exceed TH.  The sliding average lags the load,
-    #: so an unchecked descent overshoots into oversubscription and the
-    #: queues built during the lag take thousands of cycles to drain.
-    downscale_headroom_check: bool = True
+    #: buffer is nearly full (Bu >= RESCUE_THRESHOLD), step up regardless
+    #: of Lu.  The sliding Lu average lags a load burst, and in a
+    #: congestion tree only the root link measures high utilisation —
+    #: everything behind it idles on empty credit counters — so a pure-Lu
+    #: policy upgrades one tree frontier per window.  Bu is the paper's own
+    #: congestion signal; this rule lets all congested links recover in
+    #: parallel.  Set to False for the paper's literal Table 1 behaviour.
+    congestion_rescue: bool = True
     #: Starvation-aware utilisation (our addition, see DESIGN.md): measure
     #: Lu as the fraction of cycles the link was busy *or blocked with
     #: queued work* (a work-conserving utilisation counter at the output
@@ -197,10 +195,11 @@ class PolicyConfig:
                 )
         if not 0.0 <= self.congestion_threshold <= 1.0:
             raise ConfigError("congestion_threshold must lie in [0, 1]")
-        if self.rescue_threshold < self.congestion_threshold:
+        if (self.congestion_rescue
+                and self.congestion_threshold > RESCUE_THRESHOLD):
             raise ConfigError(
-                "rescue_threshold must be >= congestion_threshold "
-                f"({self.rescue_threshold} < {self.congestion_threshold})"
+                "the congestion rescue needs congestion_threshold <= "
+                f"{RESCUE_THRESHOLD}, got {self.congestion_threshold}"
             )
 
     def with_average_threshold(self, average: float,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.config import PolicyConfig
+from repro.config import RESCUE_THRESHOLD, PolicyConfig
 from repro.errors import ConfigError
 
 STEP_UP = 1
@@ -66,23 +66,16 @@ class LinkPolicyController:
             return cfg.threshold_low_congested, cfg.threshold_high_congested
         return cfg.threshold_low_uncongested, cfg.threshold_high_uncongested
 
-    def observe(self, lu: float, bu: float, down_ratio: float = 1.0) -> int:
-        """Consume one window's (Lu, Bu) sample and emit a decision.
-
-        ``down_ratio`` is ``rate_current / rate_one_level_down`` (>= 1),
-        used by the headroom check to project utilisation after a
-        down-step; pass 1.0 when already at the ladder bottom.
-        """
+    def observe(self, lu: float, bu: float) -> int:
+        """Consume one window's (Lu, Bu) sample and emit a decision."""
         if not 0.0 <= lu <= 1.0:
             raise ConfigError(f"Lu must lie in [0, 1], got {lu!r}")
-        if down_ratio < 1.0:
-            raise ConfigError(f"down_ratio must be >= 1, got {down_ratio!r}")
         self._last_lu = lu
         self._last_bu = bu
         self._history.append(lu)
         low, high = self.thresholds(bu)
         averaged = self.averaged_utilisation
-        if bu >= self.config.rescue_threshold:
+        if self.config.congestion_rescue and bu >= RESCUE_THRESHOLD:
             # Congestion rescue: a nearly full downstream buffer means this
             # link is inside a congestion tree even if credit starvation
             # keeps its own utilisation low — recover in parallel.
@@ -93,20 +86,14 @@ class LinkPolicyController:
             decision = STEP_DOWN
         else:
             decision = HOLD
-        if decision == STEP_DOWN:
-            congested = bu >= self.config.congestion_threshold
-            if self.config.congestion_inhibits_downscale and congested:
-                # Stability guard: a low Lu on a congested link means
-                # credit starvation, not low demand — don't slow it further.
-                decision = HOLD
-            elif (
-                self.config.downscale_headroom_check
-                and averaged * down_ratio > high
-            ):
-                # Headroom check: the lower rate could not carry the
-                # currently observed traffic below TH — don't step into
-                # oversubscription.
-                decision = HOLD
+        if (
+            decision == STEP_DOWN
+            and self.config.congestion_inhibits_downscale
+            and bu >= self.config.congestion_threshold
+        ):
+            # Stability guard: a low Lu on a congested link means credit
+            # starvation, not low demand — don't slow it further.
+            decision = HOLD
         self.decisions[decision] += 1
         return decision
 

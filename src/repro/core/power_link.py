@@ -189,12 +189,7 @@ class PowerAwareLink:
                 self.last_step_accepted = self.engine.request_wake(end)
                 return STEP_UP
             return HOLD
-        level = self.engine.level
-        if level > 0:
-            down_ratio = self.ladder.rate(level) / self.ladder.rate(level - 1)
-        else:
-            down_ratio = 1.0
-        decision = self.policy.observe(lu, bu, down_ratio)
+        decision = self.policy.observe(lu, bu)
 
         if self.optical is not None:
             self.optical.note_rate(self.engine.operating_rate)

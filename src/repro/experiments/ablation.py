@@ -1,11 +1,11 @@
 """Ablation harness for the policy stabilisers (DESIGN.md Section 7).
 
-The reproduction adds four documented, switchable mechanisms on top of the
-paper's literal Table 1 policy: the congestion down-scale guard, the
-congestion rescue, the down-step headroom check, and pressure-aware
-utilisation.  This harness runs the same workload with each mechanism
-removed in turn (and with all removed = the literal paper policy), so the
-contribution of every design choice is measurable.
+The reproduction adds three documented, switchable mechanisms on top of
+the paper's literal Table 1 policy: the congestion down-scale guard, the
+congestion rescue, and pressure-aware utilisation.  This harness runs the
+same workload with each mechanism removed in turn (and with all removed =
+the literal paper policy), so the contribution of every design choice is
+measurable.
 
 Used by ``benchmarks/bench_policy_ablation.py`` and runnable standalone::
 
@@ -34,13 +34,11 @@ from repro.metrics.summary import RunResult
 VARIANTS: dict[str, dict] = {
     "full": {},
     "no_guard": {"congestion_inhibits_downscale": False},
-    "no_rescue": {"rescue_threshold": 1.0},
-    "no_headroom": {"downscale_headroom_check": False},
+    "no_rescue": {"congestion_rescue": False},
     "no_pressure": {"pressure_aware_utilisation": False},
     "paper_literal": {
         "congestion_inhibits_downscale": False,
-        "rescue_threshold": 1.0,
-        "downscale_headroom_check": False,
+        "congestion_rescue": False,
         "pressure_aware_utilisation": False,
     },
 }

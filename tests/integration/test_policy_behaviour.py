@@ -17,6 +17,7 @@ from repro.config import (
     SimulationConfig,
     TransitionConfig,
 )
+from repro.experiments.ablation import VARIANTS
 from repro.network.simulator import Simulator
 from repro.traffic.hotspot import HotspotTraffic, Phase
 from repro.traffic.uniform import UniformRandomTraffic
@@ -77,24 +78,13 @@ class TestStabiliserAblations:
         # At a healthy medium load, the pressure-aware policy keeps
         # delivering; the literal busy-time policy loses throughput to
         # the starvation blind spot (the documented failure mode).
-        literal = replace(POLICY, pressure_aware_utilisation=False,
-                          congestion_inhibits_downscale=False,
-                          downscale_headroom_check=False,
-                          rescue_threshold=1.0)
+        literal = replace(POLICY, **VARIANTS["paper_literal"])
         healthy = run_sim(traffic_rate=0.9, policy=POLICY, cycles=10_000)
         degraded = run_sim(traffic_rate=0.9, policy=literal, cycles=10_000)
         healthy_fraction = (healthy.stats.packets_delivered
                             / healthy.stats.packets_created)
         assert healthy_fraction > 0.97
         assert healthy.stats.mean_latency < degraded.stats.mean_latency
-
-    def test_rescue_reduces_latency_under_bursts(self):
-        no_rescue = replace(POLICY, rescue_threshold=1.0)
-        phases = (Phase(0, 0.02), Phase(2000, 1.4), Phase(5000, 0.02),
-                  Phase(6000, 1.4))
-        with_rescue = run_sim(phases=phases, cycles=9000, policy=POLICY)
-        without = run_sim(phases=phases, cycles=9000, policy=no_rescue)
-        assert with_rescue.stats.mean_latency <= without.stats.mean_latency
 
 
 class TestTransitionCosts:

@@ -137,34 +137,17 @@ class TestCongestedBehaviour:
         # downstream buffer forces an up-step.
         assert controller.observe(0.05, bu=0.8) == STEP_UP
 
-    def test_rescue_disabled_when_threshold_above_one(self):
-        controller = make_controller(history_windows=1, rescue_threshold=1.1)
+    def test_rescue_can_be_switched_off(self):
+        # Off means off, even on a completely full downstream buffer.
+        controller = make_controller(history_windows=1,
+                                     congestion_rescue=False)
         assert controller.observe(0.05, bu=0.85) == HOLD  # guard holds it
+        assert controller.observe(0.05, bu=1.0) == HOLD
 
     def test_rescue_threshold_must_exceed_congestion(self):
         with pytest.raises(ConfigError):
-            PolicyConfig(rescue_threshold=0.3, congestion_threshold=0.5)
-
-
-class TestHeadroomCheck:
-    def test_headroom_blocks_marginal_down(self):
-        # Uncongested: Lu_a = 0.39 < TL=0.4 wants DOWN, but at a 2x slower
-        # level the projected 0.78 > TH=0.6 -> hold.
-        controller = make_controller(history_windows=1)
-        assert controller.observe(0.39, bu=0.0, down_ratio=2.0) == HOLD
-
-    def test_down_allowed_with_headroom(self):
-        controller = make_controller(history_windows=1)
-        assert controller.observe(0.2, bu=0.0, down_ratio=1.2) == STEP_DOWN
-
-    def test_headroom_check_can_be_disabled(self):
-        controller = make_controller(history_windows=1,
-                                     downscale_headroom_check=False)
-        assert controller.observe(0.39, bu=0.0, down_ratio=2.0) == STEP_DOWN
-
-    def test_invalid_down_ratio_rejected(self):
-        with pytest.raises(ConfigError):
-            make_controller().observe(0.5, 0.0, down_ratio=0.5)
+            PolicyConfig(congestion_threshold=0.8)
+        PolicyConfig(congestion_threshold=0.8, congestion_rescue=False)
 
 
 class TestThresholdSweepHelper:

@@ -21,13 +21,12 @@ class TestVariantPolicies:
     def test_paper_literal_disables_everything(self):
         policy = variant_policy("paper_literal", 200)
         assert not policy.congestion_inhibits_downscale
-        assert policy.rescue_threshold >= 1.0
-        assert not policy.downscale_headroom_check
+        assert not policy.congestion_rescue
         assert not policy.pressure_aware_utilisation
 
     def test_each_single_ablation_differs_from_full(self):
         full = variant_policy("full", 200)
-        for name in ("no_guard", "no_rescue", "no_headroom", "no_pressure"):
+        for name in ("no_guard", "no_rescue", "no_pressure"):
             assert variant_policy(name, 200) != full
 
     def test_unknown_variant(self):
@@ -56,6 +55,5 @@ class TestRunAblation:
 class TestVariantRegistry:
     def test_registry_complete(self):
         assert set(VARIANTS) == {
-            "full", "no_guard", "no_rescue", "no_headroom", "no_pressure",
-            "paper_literal",
+            "full", "no_guard", "no_rescue", "no_pressure", "paper_literal",
         }

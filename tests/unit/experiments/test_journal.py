@@ -43,7 +43,7 @@ class TestPointKey:
         point = replace(tiny_point(), power=PowerAwareConfig(),
                         faults=FaultConfig())
         assert point_key(point) == (
-            "5f9d19359a975226d0fa14cc020a0f6b17c072daa3eab13b82975686b5154d13")
+            "4cb21b36073fd2afdc8f4cd62669603200994ddb6c8878d4a09050082cca3544")
 
     def test_unhashable_factory_names_the_point(self):
         point = replace(tiny_point(label="lambda-point"),
