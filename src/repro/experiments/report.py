@@ -198,7 +198,7 @@ def render_fig7(results) -> str:
         "cannot reproduce the exact burst microstructure that determines "
         "how much queueing the baseline network absorbs (a burstier "
         "baseline inflates the denominator).  See DESIGN.md Section 7, "
-        "item 6.",
+        "synthetic traces.",
     ]
     return "\n".join(parts)
 

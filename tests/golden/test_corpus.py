@@ -6,6 +6,7 @@ intent, regenerate ``corpus.json`` and record the update in CHANGES.md.
 
 import pytest
 
+from repro.experiments.ablation import VARIANTS
 from tests.golden.make_corpus import (
     CASES,
     CYCLES,
@@ -52,3 +53,29 @@ def test_slow_case_overlaps_transitions(case):
     sim.hooks.add("window", on_window)
     sim.run(CYCLES)
     assert peak >= 2
+
+
+#: Each remaining policy stabiliser, by its ablation variant, and a
+#: corpus case that the stabiliser changes.
+STABILISER_CASES = {
+    "no_guard": "mesh-heavy-clean-ladder-s1",
+    "no_rescue": "mesh-burst-clean-hotspot-s1",
+    "no_pressure": "mesh-light-clean-ladder-s1",
+}
+
+
+def test_every_stabiliser_variant_is_pinned():
+    assert set(STABILISER_CASES) == set(VARIANTS) - {"full", "paper_literal"}
+
+
+@pytest.mark.parametrize("variant", STABILISER_CASES)
+def test_stabiliser_moves_its_case(variant):
+    # A stabiliser that changes no pinned run is inert: delete it, or pin
+    # the workload where it matters.
+    name = STABILISER_CASES[variant]
+    case = next(case for case in CASES if case.name == name)
+    pinned = dict(CORPUS[name])
+    del pinned["events_digest"]
+    sim = build_case(case, policy_changes=VARIANTS[variant])
+    sim.run(CYCLES)
+    assert fingerprint(sim) != pinned
