@@ -87,6 +87,11 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "repro/network/topology.py": frozenset({
         "NetworkFabric.reset",
         "Node.reset",
+        "Node.step",
+    }),
+    # Every window boundary walks all ~1.2k links of a paper-shape run.
+    "repro/core/manager.py": frozenset({
+        "NetworkPowerManager._run_window",
     }),
 }
 

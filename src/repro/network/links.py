@@ -27,6 +27,7 @@ from repro.errors import ConfigError, LinkStateError
 from repro.network.flit import Flit
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.engine.active import ActiveSet
     from repro.engine.schedule import DeliverySchedule
 
 #: Link roles within the clustered system (used for reporting and for the
@@ -100,10 +101,11 @@ class Link:
         #: Incremented by the router/node feeding the link.
         self.pressure_accum = 0.0
         self.flits_carried = 0
-        #: Optional set maintained by the simulator: links with flits in
-        #: flight register themselves so the delivery loop only visits
-        #: active links instead of all ~1.2k links every cycle.
-        self.registry: set["Link"] | None = None
+        #: Optional active-link registry of a fault run (fault-free runs
+        #: use :attr:`calendar` instead): a link registers while it has
+        #: flits on :attr:`_in_flight`, so the scanned deliver phase only
+        #: visits links with arrivals pending.
+        self.registry: "ActiveSet[Link] | None" = None
         #: Optional arrival calendar shared by every link of a fault-free
         #: run: while set, pushed flits are filed there (by arrival
         #: cycle) instead of queueing on :attr:`_in_flight`, and the
