@@ -26,7 +26,7 @@ from repro.config import (
 )
 from repro.core.laser_policy import OpticalPowerController
 from repro.core.levels import BitRateLadder, OpticalBands
-from repro.core.policy import HOLD
+from repro.core.policy import HOLD, STEP_DOWN
 from repro.core.power_link import PowerAwareLink
 from repro.core.tables import OperatingPointTable
 from repro.engine.wheel import (
@@ -168,6 +168,8 @@ class NetworkPowerManager:
         self.hooks: "HookRegistry | None" = None
         self._wheel: EventWheel | None = None
         self._sample_interval: int | None = None
+        #: Link-windows replayed for quiet links instead of evaluated.
+        self.quiet_windows = 0
 
     # -- warm rerun ------------------------------------------------------------
 
@@ -222,6 +224,7 @@ class NetworkPowerManager:
         self.hooks = None
         self._wheel = None
         self._sample_interval = None
+        self.quiet_windows = 0
 
     # -- driving ---------------------------------------------------------------
 
@@ -246,31 +249,56 @@ class NetworkPowerManager:
             wheel.schedule(0, self._sample_event, PRI_SAMPLE)
 
     def _run_window(self, now: int) -> None:
-        """Evaluate every link's policy for the window ending at ``now``."""
+        """Evaluate every link's policy for the window ending at ``now``.
+
+        A quiet link (see :meth:`PowerAwareLink.quiet_decision`) whose
+        busy and pressure accumulators stayed zero replays its last
+        outcome instead: the window counter and the decision counter
+        advance, a stable link reports its level-0 rate to the laser
+        controller, and the hooks fire with the same payload.
+        """
         start = now - self.window
         hooks = self.hooks
         transition_hooks = hooks.transition if hooks is not None else ()
         policy_hooks = hooks.policy if hooks is not None else ()
         wheel = self._wheel
+        bottom_rate = self.ladder.min_rate
+        replayed = 0
         for pal in self.links:
-            decision = pal.on_window(start, now)
+            link = pal.link
+            idle = not link.busy_accum and not link.pressure_accum
+            decision = pal.quiet
+            if decision is not None and idle:
+                pal.windows_observed += 1
+                if decision == STEP_DOWN:
+                    pal.policy.decisions[STEP_DOWN] += 1
+                    optical = pal.optical
+                    if optical is not None:
+                        optical.note_rate(bottom_rate)
+                replayed += 1
+            else:
+                decision = pal.on_window(start, now)
+                pal.quiet = pal.quiet_decision(decision, now) if idle \
+                    else None
             if policy_hooks:
                 for callback in policy_hooks:
                     callback(pal, pal.last_lu, pal.last_bu, decision, now)
             if transition_hooks and decision != HOLD:
                 for callback in transition_hooks:
                     callback(pal, decision, now)
-            # A link parked OFF has next_event == inf: it is not tracked
-            # as transitioning (nothing to advance — only a later window's
-            # demand check wakes it), and scheduling an infinite-time
-            # wheel event would be meaningless.
-            if pal.engine.in_transition \
+            # A quiet link is stable or parked OFF.  One parked OFF has
+            # next_event == inf: it is not tracked as transitioning
+            # (nothing to advance — only a later window's demand check
+            # wakes it), and scheduling an infinite-time wheel event
+            # would be meaningless.
+            if pal.quiet is None and pal.engine.in_transition \
                     and pal.engine.next_event != math.inf \
                     and pal not in self._transitioning:
                 self._transitioning.add(pal)
                 wheel.schedule(pal.engine.next_event,
                                self._make_transition_wake(pal),
                                PRI_TRANSITION)
+        self.quiet_windows += replayed
         if hooks is not None and hooks.window:
             for callback in hooks.window:
                 callback(start, now)

@@ -35,15 +35,13 @@ STEP_DOWN = -1
 class LinkPolicyController:
     """Windowed-utilisation bit-rate policy for one link."""
 
-    __slots__ = ("config", "_history", "decisions", "_last_lu", "_last_bu")
+    __slots__ = ("config", "_history", "decisions")
 
     def __init__(self, config: PolicyConfig):
         self.config = config
         self._history: deque[float] = deque(maxlen=config.history_windows)
         #: Counts of (-1, 0, +1) decisions, for reporting.
         self.decisions = {STEP_DOWN: 0, HOLD: 0, STEP_UP: 0}
-        self._last_lu = 0.0
-        self._last_bu = 0.0
 
     @property
     def averaged_utilisation(self) -> float:
@@ -53,9 +51,14 @@ class LinkPolicyController:
         return sum(self._history) / len(self._history)
 
     @property
-    def last_sample(self) -> tuple[float, float]:
-        """The most recent (Lu, Bu) observation."""
-        return self._last_lu, self._last_bu
+    def settled_idle(self) -> bool:
+        """Whether the history is full and holds only Lu = 0 samples.
+
+        Observing (Lu, Bu) = (0, 0) then leaves the history as it is, so
+        every such observation emits the same decision.
+        """
+        history = self._history
+        return len(history) == history.maxlen and not any(history)
 
     def thresholds(self, bu: float) -> tuple[float, float]:
         """Table 1: the (TL, TH) pair in force for a congestion level."""
@@ -70,8 +73,6 @@ class LinkPolicyController:
         """Consume one window's (Lu, Bu) sample and emit a decision."""
         if not 0.0 <= lu <= 1.0:
             raise ConfigError(f"Lu must lie in [0, 1], got {lu!r}")
-        self._last_lu = lu
-        self._last_bu = bu
         self._history.append(lu)
         low, high = self.thresholds(bu)
         averaged = self.averaged_utilisation
@@ -100,14 +101,10 @@ class LinkPolicyController:
     def reset(self) -> None:
         """Restore the freshly-constructed state (link reconfiguration).
 
-        Everything ``observe`` accumulates goes: the sliding history,
-        the decision counters and the last (Lu, Bu) sample.  A
-        controller that kept its counters across a reconfiguration
-        would mis-report the new configuration's decision mix, and a
-        stale ``last_sample`` would leak one run's telemetry into the
-        next warm rerun.
+        Everything ``observe`` accumulates goes: the sliding history
+        and the decision counters.  A controller that kept its counters
+        across a reconfiguration would mis-report the new
+        configuration's decision mix.
         """
         self._history.clear()
         self.decisions = {STEP_DOWN: 0, HOLD: 0, STEP_UP: 0}
-        self._last_lu = 0.0
-        self._last_bu = 0.0

@@ -39,7 +39,7 @@ class PowerAwareLink:
         "link", "ladder", "engine", "policy", "optical", "downstream_buffer",
         "level_powers", "energy_watt_cycles", "_last_charge", "pending_up",
         "windows_observed", "step_down_guard", "guard_holds",
-        "last_lu", "last_bu", "last_step_accepted", "can_sleep",
+        "last_lu", "last_bu", "last_step_accepted", "can_sleep", "quiet",
     )
 
     def __init__(self, link: Link, ladder: BitRateLadder,
@@ -89,6 +89,9 @@ class PowerAwareLink:
         #: transition engine (False for holds, deferred/rejected steps and
         #: ladder-end no-ops) — telemetry ``transition`` hook payload.
         self.last_step_accepted = False
+        #: The decision a window repeats while the link stays idle, or
+        #: None: set by the power manager from :meth:`quiet_decision`.
+        self.quiet: int | None = None
 
     def reset(self, policy_config: PolicyConfig,
               transition_config: TransitionConfig,
@@ -119,6 +122,7 @@ class PowerAwareLink:
         self.last_lu = math.nan
         self.last_bu = math.nan
         self.last_step_accepted = False
+        self.quiet = None
 
     # -- energy accounting ----------------------------------------------------
 
@@ -241,6 +245,44 @@ class PowerAwareLink:
                 self.last_step_accepted = \
                     self.engine.request_step(STEP_DOWN, end)
         return decision
+
+    def quiet_decision(self, decision: int, end: float) -> int | None:
+        """The decision every later idle window repeats, or None.
+
+        Call right after :meth:`on_window` returned ``decision`` for a
+        window whose busy and pressure accumulators were both zero.  The
+        link is quiet when that evaluation changed nothing but counters
+        and an idle next window would read the same inputs: Bu was zero,
+        the downstream FIFOs are empty, no flit is still in flight, and
+        either
+
+        * the link is stable at level 0 with an all-zero, full Lu history
+          and no pending up-step, and the policy's STEP_DOWN was rejected
+          at the ladder bottom; or
+        * the link is OFF in the LINK_OFF rung and held.
+
+        docs/performance.md ("Quiescent links") gives the field-by-field
+        argument for replaying such a window instead of evaluating it.
+        """
+        if self.last_bu != 0.0:
+            return None
+        buffers = self.downstream_buffer
+        if buffers:
+            for buffer in buffers:
+                if buffer.occupancy:
+                    return None
+        link = self.link
+        if link.free_at + link.propagation_cycles > end:
+            return None
+        engine = self.engine
+        state = engine.state
+        if state is TransitionState.OFF:
+            return HOLD if decision == HOLD else None
+        if (state is TransitionState.STABLE and engine.level == 0
+                and decision == STEP_DOWN and not self.last_step_accepted
+                and not self.pending_up and self.policy.settled_idle):
+            return STEP_DOWN
+        return None
 
     # -- reporting ------------------------------------------------------------
 

@@ -75,6 +75,16 @@ class TestSlidingWindow:
         # smaller spike to show smoothing.
         assert controller.observe(0.65, 0.0) == HOLD
 
+    def test_settled_idle_needs_a_full_all_zero_history(self):
+        controller = make_controller(history_windows=2)
+        assert not controller.settled_idle
+        controller.observe(0.0, 0.0)
+        assert not controller.settled_idle
+        controller.observe(0.0, 0.0)
+        assert controller.settled_idle
+        controller.observe(0.2, 0.0)
+        assert not controller.settled_idle
+
     def test_reset_clears_history(self):
         controller = make_controller(history_windows=3)
         controller.observe(0.9, 0.0)
@@ -83,15 +93,14 @@ class TestSlidingWindow:
 
     def test_reset_restores_fresh_state(self):
         # Regression: reset() used to clear only the history, leaving the
-        # decision counters and last (Lu, Bu) sample from the previous run
-        # to leak into warm-reused controllers (RC001).
+        # decision counters from the previous run to leak into
+        # warm-reused controllers (RC001).
         controller = make_controller(history_windows=3)
         for lu in (0.9, 0.9, 0.1, 0.5):
             controller.observe(lu, 0.8)
         controller.reset()
         fresh = make_controller(history_windows=3)
         assert controller.decisions == fresh.decisions
-        assert controller.last_sample == fresh.last_sample == (0.0, 0.0)
         assert controller.averaged_utilisation == fresh.averaged_utilisation
 
     def test_reset_controller_decides_like_fresh(self):
@@ -104,11 +113,6 @@ class TestSlidingWindow:
         for lu, bu in trace:
             assert controller.observe(lu, bu) == fresh.observe(lu, bu)
         assert controller.decisions == fresh.decisions
-
-    def test_last_sample_exposed(self):
-        controller = make_controller()
-        controller.observe(0.3, 0.7)
-        assert controller.last_sample == (0.3, 0.7)
 
 
 class TestCongestedBehaviour:

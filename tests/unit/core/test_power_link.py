@@ -5,6 +5,7 @@ import pytest
 from repro.config import PolicyConfig, TransitionConfig
 from repro.core.laser_policy import OpticalPowerController
 from repro.core.levels import BitRateLadder, OpticalBands
+from repro.core.policy import HOLD, STEP_DOWN
 from repro.core.power_link import PowerAwareLink
 from repro.network.buffers import InputBuffer
 from repro.network.links import MESH, Link
@@ -15,7 +16,7 @@ TBR = 2
 WINDOW = 100.0
 
 
-def make_pal(optical=False, initial_level=None):
+def make_pal(optical=False, initial_level=None, history_windows=1):
     link = Link(0, MESH)
     ladder = BitRateLadder.paper_default()
     transitions = TransitionConfig(
@@ -35,7 +36,7 @@ def make_pal(optical=False, initial_level=None):
         ladder=ladder,
         power_model=LinkPowerModel.vcsel_link(),
         policy_config=PolicyConfig(window_cycles=int(WINDOW),
-                                   history_windows=1),
+                                   history_windows=history_windows),
         transition_config=transitions,
         service_time_fn=lambda level: ladder.max_rate / ladder.rate(level),
         downstream_buffer=(buffer,),
@@ -108,7 +109,7 @@ class TestWindowDecisions:
         buffer.push(flit, 0.0)  # occupies 1/16 for the window
         link.busy_accum = WINDOW * 0.5
         pal.on_window(0.0, WINDOW)
-        assert pal.policy.last_sample[1] == pytest.approx(1 / 16)
+        assert pal.last_bu == pytest.approx(1 / 16)
 
     def test_windows_observed_counter(self):
         pal, _, _ = make_pal()
@@ -145,6 +146,57 @@ class TestOpticalGating:
         pal.on_window(0.0, WINDOW)
         assert pal.optical.max_band_needed == \
             pal.optical.bands.band_for_rate(5e9)
+
+
+def idle_window(pal, start):
+    """Evaluate one idle window; return (decision, quiet decision)."""
+    decision = pal.on_window(start, start + WINDOW)
+    return decision, pal.quiet_decision(decision, start + WINDOW)
+
+
+class TestQuietDecision:
+    def test_settled_link_at_the_bottom_is_quiet(self):
+        pal, _, _ = make_pal(initial_level=0)
+        assert idle_window(pal, 0.0) == (STEP_DOWN, STEP_DOWN)
+
+    def test_link_above_the_bottom_is_not_quiet(self):
+        pal, _, _ = make_pal()
+        assert idle_window(pal, 0.0) == (STEP_DOWN, None)
+
+    def test_unsettled_history_is_not_quiet(self):
+        pal, link, _ = make_pal(initial_level=0, history_windows=2)
+        assert idle_window(pal, 0.0) == (STEP_DOWN, None)
+        assert idle_window(pal, WINDOW) == (STEP_DOWN, STEP_DOWN)
+        link.busy_accum = WINDOW * 0.1
+        pal.on_window(2 * WINDOW, 3 * WINDOW)
+        # A non-zero Lu is still in the two-window history.
+        assert idle_window(pal, 3 * WINDOW) == (STEP_DOWN, None)
+        assert idle_window(pal, 4 * WINDOW) == (STEP_DOWN, STEP_DOWN)
+
+    def test_buffered_flit_is_not_quiet(self):
+        from repro.network.packet import Packet
+
+        pal, _, buffer = make_pal(initial_level=0)
+        # Arrives at the window end: Bu reads zero, but the FIFO holds it.
+        buffer.push(Packet(1, 0, 1, 1, 0).make_flits()[0], WINDOW)
+        assert pal.quiet_decision(pal.on_window(0.0, WINDOW), WINDOW) \
+            is None
+        assert pal.last_bu == 0.0
+
+    def test_flit_in_flight_is_not_quiet(self):
+        pal, link, _ = make_pal(initial_level=0)
+        # Serialised before the window closed, arriving after it.
+        link.propagation_cycles = 5.0
+        link.free_at = WINDOW - 1.0
+        assert idle_window(pal, 0.0) == (STEP_DOWN, None)
+        assert idle_window(pal, WINDOW) == (STEP_DOWN, STEP_DOWN)
+
+    def test_sleeping_link_is_quiet_once_off(self):
+        pal, _, _ = make_pal(initial_level=0)
+        pal.can_sleep = True
+        assert idle_window(pal, 0.0) == (STEP_DOWN, None)
+        assert pal.engine.is_off
+        assert idle_window(pal, WINDOW) == (HOLD, HOLD)
 
 
 class TestReporting:
